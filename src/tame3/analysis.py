@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from tame3 import forms, poly
-from tame3.errors import DependentInputs, EmptyInput, ZeroPolynomial
+from tame3.errors import DependentInputs, EmptyInput, TheoremViolated, ZeroPolynomial
 from tame3.poly import MultiDegree, Poly
 
 PolyInY = dict[int, Poly]
@@ -183,7 +183,8 @@ def parachute_check(f: list[Poly], phi: PolyInY) -> ParachuteReport:
 
     φ is a y-polynomial whose coefficients the caller guarantees to lie in
     k[f2, …, fr]; y stands for f1.  The inequality is a theorem, so a report
-    with holds = False is unreachable: it raises instead of returning.
+    with holds = False is unreachable: it raises TheoremViolated instead of
+    returning.
 
     df1∧ω is df1∧df2 (r = 2) or df2∧df3∧df1 = df1∧df2∧df3 (r = 3: a cyclic
     permutation of three 1-forms keeps the sign), so it doubles as the
@@ -216,7 +217,7 @@ def parachute_check(f: list[Poly], phi: PolyInY) -> ParachuteReport:
     rhs = poly.mdeg_sub(virtual, poly.mdeg_scale(m, penalty))
     report = ParachuteReport(lhs=lhs, rhs=rhs, multiplicity=m, virtual=virtual)
     if not report.holds:
-        raise AssertionError(f"Parachute Inequality violated: {report}")
+        raise TheoremViolated(f"Parachute Inequality violated: {report}")
     return report
 
 
@@ -242,7 +243,8 @@ def two_maxima_check(f) -> TwoMaximaReport:
 
     Accepts an Automorphism or a plain component triple.  The principle holds
     for every automorphism of affine 3-space; callers pass witnessed-tame
-    maps, so a failing check raises (it would be an implementation bug).
+    maps, so a failing check raises TheoremViolated (it would be an
+    implementation bug).
     """
     components = tuple(getattr(f, "components", f))
     f1, f2, f3 = components
@@ -256,7 +258,7 @@ def two_maxima_check(f) -> TwoMaximaReport:
     attained = sum(1 for q in quantities if q == maximum)
     report = TwoMaximaReport(quantities=quantities, maximum=maximum, attained=attained)
     if not report.ok:
-        raise AssertionError(f"Principle of Two Maxima violated: {report}")
+        raise TheoremViolated(f"Principle of Two Maxima violated: {report}")
     return report
 
 

@@ -29,6 +29,10 @@ class DependentInputs(Tame3Error):
     """Polynomials required to be algebraically independent are not."""
 
 
+class NotAnAutomorphism(Tame3Error):
+    """Independent components whose Jacobian df1∧df2∧df3 is not a constant."""
+
+
 class DegenerateTuple(Tame3Error):
     """A tuple of would-be components is linearly dependent with constants."""
 
@@ -62,6 +66,14 @@ class HypothesesUnmet(Tame3Error):
 
 class IdentityVertex(Tame3Error):
     """The identity vertex admits no reduction step."""
+
+
+class TheoremViolated(Tame3Error):
+    """A degree inequality the theory proves for automorphisms failed.
+
+    Unreachable on valid automorphisms; raised instead of returning a report
+    that contradicts the theorem.
+    """
 
 
 class BudgetExceeded(Tame3Error):

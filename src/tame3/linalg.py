@@ -1,4 +1,9 @@
-"""Exact linear algebra over ℚ: the one solver everything shares.
+"""Exact linear algebra over ℚ for systems with no echelon structure.
+
+The reduction search's cancellation stages, span intersections and
+connecting corrections solve here.  Affine-span membership over canonical
+representatives does not: those are already in echelon form, and
+``vertices`` decides membership by cancelling top terms.
 
 Systems here are tall and narrow — rows are monomials (hundreds at most),
 columns are a handful of candidate polynomials — so a dense fraction-exact

@@ -310,7 +310,8 @@ def parse_automorphism(text: str) -> Automorphism:
 
     Raises ParseError with position for malformed input, WitnessMismatch when
     a declared word does not evaluate to the components, DependentInputs when
-    the components are not independent.
+    the components are not independent, NotAnAutomorphism when their
+    Jacobian is not a constant.
     """
     lines = text.splitlines()
     factors: list[Affine | Elementary] | None = None

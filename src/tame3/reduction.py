@@ -497,7 +497,15 @@ def simple_search(v: Vertex3, center: Line, pivot: Point) -> ReductionStep | Non
 
 def elementary_K_report(v: Vertex3, u: Vertex3) -> KReductionEvidence:
     """Condition-by-condition elementary-K verdicts for a neighboring pair."""
-    center = shared_center(v, u)
+    return _elementary_K_evidence(v, u, shared_center(v, u))
+
+
+def _elementary_K_evidence(v: Vertex3, u: Vertex3, center: Line) -> KReductionEvidence:
+    """The five elementary-K verdicts for neighbors v, u sharing center.
+
+    Every verdict depends on the center only through its affine span, so any
+    canonical representative of the shared line gives the same verdicts.
+    """
     attrs = line_attributes(center)
     comp = complement_degree(u, center)
     return KReductionEvidence(
@@ -663,8 +671,10 @@ def reduce_once(
             )
             continue
         data, target, _ = res
-        ev = classify_elementary_K(v, target)
-        if ev is not None:
+        # target is (lo, hi, corrected) over cline's own components, so cline
+        # is the line it shares with v.
+        ev = _elementary_K_evidence(v, target, cline)
+        if ev.all_hold:
             steps.append(
                 ReductionStep(
                     kind=KIND_ELEMENTARY_K,

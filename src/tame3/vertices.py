@@ -4,9 +4,12 @@ A type-r vertex (r = 1, 2, 3) is an r-tuple of polynomial components modulo
 composition by an affine automorphism on the range: [f1, f2, f3] for type 3
 ("Vertex3"), pairs for type 2 ("Line"), single components for type 1
 ("Point").  Two tuples give the same vertex iff an invertible affine change
-of the *values* maps one to the other — decided here by exact linear algebra
-(span membership plus an invertibility check), never by comparing
-representatives syntactically.
+of the *values* maps one to the other — decided here by affine-span
+membership plus an invertibility check, never by comparing representatives
+syntactically.  Membership cancels the target's top term against the
+canonical component of the same degree until a constant is left (a member)
+or no component has the top degree (not a member); the canonical
+representative is in echelon form, so no linear system is solved.
 
 Every stored representative is canonical: constants dropped, components
 sorted by strictly increasing degree, top terms monic, colliding top degrees
@@ -31,6 +34,7 @@ from tame3.errors import (
     AffineP,
     DegenerateTuple,
     DependentInputs,
+    NotAnAutomorphism,
     NotIncident,
     SingularAffine,
     WitnessMismatch,
@@ -39,6 +43,7 @@ from tame3.errors import (
 from tame3.poly import MultiDegree, Poly
 
 _CONST = (0, 0, 0)
+_F0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +118,18 @@ def elementary(index: int, p: Poly) -> Elementary:
 def automorphism(
     components: tuple[Poly, Poly, Poly], witness: TameWord | None = None
 ) -> Automorphism:
-    """Validated automorphism: independent components, witness consistent."""
+    """Validated automorphism: constant nonzero Jacobian, witness consistent.
+
+    The Jacobian is the coefficient of df1∧df2∧df3; it vanishes exactly when
+    the components are algebraically dependent.
+    """
     components = tuple(dict(c) for c in components)
-    if not forms.independent(*components):
+    d1, d2, d3 = (forms.differential(c) for c in components)
+    jacobian = forms.wedge21(forms.wedge11(d1, d2), d3).coefficient
+    if not jacobian:
         raise DependentInputs("components are algebraically dependent")
+    if poly.deg(jacobian) != _CONST:
+        raise NotAnAutomorphism("the Jacobian df1∧df2∧df3 is not a constant")
     if witness is not None:
         evaluated = eval_word(witness).components
         if evaluated != components:
@@ -310,9 +323,34 @@ def is_identity(v: Vertex3) -> bool:
 def _affine_coordinates(
     basis: tuple[Poly, ...], target: Poly
 ) -> list[Fraction] | None:
-    """Coefficients writing target as an affine combination of basis, or None."""
-    columns = list(basis) + [poly.const(1)]
-    return linalg.solve_exact(columns, target)
+    """Coefficients writing target as an affine combination of basis, or None.
+
+    basis is in echelon form, as every canonical representative is: no
+    constant components and distinct top degrees.  The top term of what is
+    left of target either is the constant (the last coordinate), or is
+    cancelled by the one basis element of that degree, or proves target
+    outside the span.  Distinct top degrees make the coordinates unique.
+    """
+    coords = [_F0] * (len(basis) + 1)
+    slot = {poly.deg(b): i for i, b in enumerate(basis)}
+    rest = dict(target)
+    while rest:
+        top = poly.deg(rest)
+        if top == _CONST:
+            coords[-1] = Fraction(rest[top])
+            break
+        i = slot.get(top)
+        if i is None:
+            return None
+        c = rest[top] / basis[i][top]
+        coords[i] = c
+        for e, b in basis[i].items():
+            s = rest.get(e, _F0) - c * b
+            if s:
+                rest[e] = s
+            else:
+                del rest[e]
+    return coords
 
 
 def _orbit_equal(a: tuple[Poly, ...], b: tuple[Poly, ...]) -> bool:
@@ -364,15 +402,18 @@ def lines_of(v: Vertex3) -> tuple[Line, Line, Line]:
     through the top component.  Every line of v equals one of these three
     only in the degenerate sense of the triangle; arbitrary lines of v form
     a projective plane, of which these are the reduction search's probes.
+
+    Two components of a canonical independent triple are a canonical
+    independent pair, so the lines are built without re-checking either.
     """
     g1, g2, g3 = v.representative
-    return (line((g1, g2)), line((g1, g3)), line((g2, g3)))
+    return (Line((g1, g2)), Line((g1, g3)), Line((g2, g3)))
 
 
 def minimal_line(v: Vertex3) -> Line:
     """The unique line of v with the two lowest stratified degrees."""
     g1, g2, _ = v.representative
-    return line((g1, g2))
+    return Line((g1, g2))
 
 
 def minimal_vertex(v: Vertex3 | Line) -> Point:

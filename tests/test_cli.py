@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tame3 import cli
+from tame3 import analysis, cli
 from tame3.parsing import parse_automorphism
 
 from fixtures import NAGATA_SOURCE, P
@@ -215,6 +215,26 @@ def test_input_errors_exit_1(write, capsys):
     assert "bad.auto" in err and err.startswith("tame3:")
     assert cli.main(["deg", str(write("d", "")[:-1]) + "/missing.auto"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify-nontame", "path", "reduce", "deg"])
+def test_non_automorphism_exits_1(write, capsys, command):
+    # independent components, but the Jacobian 2·x1 is not a constant
+    path = write("square.auto", "x1^2; x2; x3\n")
+    assert cli.main([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tame3:") and "Jacobian" in captured.err
+
+
+def test_theorem_violation_exits_1(write, capsys, monkeypatch):
+    path = write("nagata.auto", NAGATA_SOURCE)
+    monkeypatch.setattr(analysis.ParachuteReport, "holds", property(lambda r: False))
+    monkeypatch.setattr(analysis.TwoMaximaReport, "ok", property(lambda r: False))
+    assert cli.main(["parachute", path, "--phi", "y^2"]) == 1
+    assert "Parachute Inequality violated" in capsys.readouterr().err
+    assert cli.main(["two-maxima", path]) == 1
+    assert "Principle of Two Maxima violated" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1(capsys):

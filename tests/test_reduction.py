@@ -175,6 +175,28 @@ def test_cubic_step_center_is_the_shared_line(cubic_pair, cubic_step):
     assert shared_center(v, u) == cubic_step.center
 
 
+@pytest.mark.parametrize("name", ["cubic_step", "quintic_step"])
+def test_k_step_evidence_matches_the_shared_center_report(name, request):
+    # reduce_once classifies at its search center; the report recomputes
+    # the shared center from the two vertices and must agree with it
+    step = request.getfixturevalue(name)
+    report = elementary_K_report(step.source, step.target)
+    ev = step.evidence
+    assert shared_center(step.source, step.target).representative == step.center.representative
+    assert report.center.representative == ev.center.representative
+    assert report.pivot.representative == ev.pivot.representative
+    for field in (
+        "delta",
+        "complement",
+        "degree_drop",
+        "no_inner_resonance",
+        "no_outer_resonance",
+        "center_not_minimal",
+        "delta_dominates",
+    ):
+        assert getattr(report, field) == getattr(ev, field), field
+
+
 def test_cubic_reduction_path(cubic_pair):
     path = reduction_path(CUBIC)
     assert isinstance(path, ReductionPath)

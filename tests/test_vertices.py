@@ -3,12 +3,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tame3 import poly, vertices
+from tame3 import linalg, poly, vertices
 from tame3.errors import (
     AffineP,
     DegenerateTuple,
     DependentInputs,
+    NotAnAutomorphism,
     NotIncident,
     SingularAffine,
     WitnessMismatch,
@@ -17,6 +20,12 @@ from tame3.errors import (
 from fixtures import CUBIC, NAGATA, P, QUINTIC, X1, X2, X3
 
 ONE = P((1, 0, 0, 0))
+
+coeffs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+polys = st.dictionaries(exponents, coeffs, min_size=1, max_size=4).map(
+    lambda d: {e: c for e, c in d.items() if c}
+)
 
 
 # -- factors and words --------------------------------------------------------
@@ -88,6 +97,9 @@ def test_automorphism_validation():
             (X1, X2, X3),
             vertices.TameWord((vertices.elementary(1, P((1, 0, 2, 0))),)),
         )
+    # independent components, Jacobian 2·x1: not an automorphism
+    with pytest.raises(NotAnAutomorphism):
+        vertices.automorphism((P((1, 2, 0, 0)), X2, X3))
 
 
 # -- canonical representatives ------------------------------------------------
@@ -193,6 +205,31 @@ def test_lines_of_and_minimal_line():
         d.stratified[0], d.stratified[1]
     )
     assert vertices.minimal_vertex(v).representative == g1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(polys, min_size=1, max_size=3),
+    st.lists(coeffs, min_size=4, max_size=4),
+    exponents,
+)
+def test_affine_coordinates_match_the_exact_solver(raw, combo, extra):
+    try:
+        basis = vertices.good_representative(tuple(raw))
+    except DegenerateTuple:
+        assume(False)
+    columns = list(basis) + [poly.const(1)]
+    member = poly.const(combo[-1])
+    for c, b in zip(combo, basis):
+        member = poly.add(member, poly.scale(c, b))
+    # a monomial outside every basis support is outside the affine span
+    assume(extra != (0, 0, 0) and all(extra not in b for b in basis))
+    outsider = poly.add(member, poly.monomial(extra))
+    coords = vertices._affine_coordinates(basis, member)
+    assert coords == linalg.solve_exact(columns, member)
+    assert coords == list(combo[: len(basis)]) + [combo[-1]]
+    assert vertices._affine_coordinates(basis, outsider) is None
+    assert linalg.solve_exact(columns, outsider) is None
 
 
 # -- line attributes and resonance --------------------------------------------
