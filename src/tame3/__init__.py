@@ -2,6 +2,7 @@
 
 Subpackage map:
   poly       — sparse exact polynomials, graded-lex multidegrees
+  linalg     — exact Gauss–Jordan solves and nullspaces over ℚ
   forms      — differential forms, wedge products, form degrees
   analysis   — virtual degrees, multiplicity, Parachute Inequality,
                Principle of Two Maxima, degree resonance
@@ -12,6 +13,7 @@ Subpackage map:
   parsing    — expression and automorphism-file parsing, printing
   wordgen    — seeded random tame-word generator
   cli        — the ``tame3`` command-line tool
+  errors     — the exception hierarchy (``Tame3Error`` and its subclasses)
 """
 
 __version__ = "0.1.0"

@@ -372,7 +372,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (`tame3 path --json F | head -1`); that is not
+        # an error.  Point stdout at devnull so the exit-time flush of what is
+        # still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except _CliError as exc:
         msg = str(exc)
         print(msg if msg.startswith("tame3") else f"tame3: {msg}", file=sys.stderr)

@@ -18,6 +18,35 @@ from typing import Hashable, Mapping, Sequence
 _F0 = Fraction(0)
 
 
+def _rref(rows: list[list[Fraction]], n: int) -> list[int]:
+    """Gauss–Jordan sweep over the first n columns of rows, in place.
+
+    Each pivot row is scaled to a leading 1 and cleared from every other row;
+    columns past n are carried along.  Returns the pivot columns in order:
+    pivot k sits in row k, and rows past the last pivot are zero on the
+    first n columns.
+    """
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        lead = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivot_cols
+
+
 def solve_exact(
     columns: Sequence[Mapping[Hashable, Fraction]],
     rhs: Mapping[Hashable, Fraction],
@@ -37,27 +66,9 @@ def solve_exact(
         [col.get(k, _F0) for col in columns] + [Fraction(rhs.get(k, _F0))]
         for k in ordered
     ]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for row in rows:
-        if row[n] and not any(row[:n]):
-            return None
+    pivot_cols = _rref(rows, n)
+    if any(row[n] for row in rows[len(pivot_cols):]):
+        return None
     x = [_F0] * n
     for idx, c in enumerate(pivot_cols):
         x[c] = rows[idx][n]
@@ -78,24 +89,7 @@ def nullspace(
     ordered = sorted(keys)
     n = len(columns)
     rows = [[col.get(k, _F0) for col in columns] for k in ordered]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
+    pivot_cols = _rref(rows, n)
     basis: list[list[Fraction]] = []
     for free in (c for c in range(n) if c not in pivot_cols):
         vec = [_F0] * n

@@ -235,8 +235,7 @@ def format_poly(p: Poly) -> str:
     if not p:
         return "0"
     parts: list[str] = []
-    for term in sorted_terms_desc(p):
-        c, e = term
+    for e, c in poly.sorted_terms(p):
         mag = -c if c < 0 else c
         body = _format_monomial(e)
         if not body:
@@ -248,11 +247,6 @@ def format_poly(p: Poly) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def sorted_terms_desc(p: Poly) -> list[tuple[Fraction, tuple[int, int, int]]]:
-    """(coefficient, exponent) pairs in strictly decreasing graded-lex order."""
-    return [(p[e], e) for e in sorted(p, key=poly.grlex_key, reverse=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ analysis — differences and rational multiples of degrees, which live in ℤ³ 
 ℚ³.  Those are compared exactly via Fraction arithmetic, never through floats.
 
 Multiplication is the package's one hot loop.  It clears denominators per
-operand, convolves integer coefficient maps in a kernel (compiled when the
-Cython extension built, pure Python otherwise — see KERNEL_NAME), and
-reattaches a single rational scale.  Monomials are packed into single ints
-inside the kernel; the degree cap below keeps every exponent component well
-inside its 21-bit field.
+operand, convolves the integer coefficient maps in pure Python, and
+reattaches a single rational scale.  Inside the loop each monomial is packed
+into one int (a1 << 42 | a2 << 21 | a3), so multiplying monomials is integer
+addition; the degree cap below keeps every exponent component well inside
+its 21-bit field.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ from fractions import Fraction
 from functools import reduce
 
 from tame3.errors import DegreeOverflow, ZeroPolynomial
-
-try:
-    from tame3._kernel import mul_packed
-
-    KERNEL_NAME = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from tame3._kernel_py import mul_packed
-
-    KERNEL_NAME = "python"
 
 Exponent = tuple[int, int, int]
 Poly = dict[Exponent, Fraction]
@@ -269,7 +260,16 @@ def mul(a: Poly, b: Poly) -> Poly:
     pa, den_a = _cleared(a)
     pb, den_b = _cleared(b)
     den = den_a * den_b
-    return {_unpack(k): Fraction(c, den) for k, c in mul_packed(pa, pb).items()}
+    if len(pa) < len(pb):  # outer loop over the larger operand
+        pa, pb = pb, pa
+    out: dict[int, int] = {}
+    get = out.get
+    items_b = list(pb.items())
+    for ea, ca in pa.items():
+        for eb, cb in items_b:
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    return {_unpack(k): Fraction(c, den) for k, c in out.items() if c}
 
 
 def p_pow(p: Poly, n: int) -> Poly:

@@ -220,13 +220,12 @@ class VertexDegrees:
 
 
 def stratified_degrees(components: tuple[Poly, ...]) -> VertexDegrees:
-    """Flag degrees of the affine span of the components."""
-    rep = good_representative(components)
-    strata = tuple(poly.deg(p) for p in rep)
-    total = strata[0]
-    for d in strata[1:]:
-        total = poly.mdeg_add(total, d)
-    return VertexDegrees(stratified=strata, total=total, top=strata[-1])
+    """Flag degrees of the affine span of the components.
+
+    ``vertex_degrees`` of the good representative, wrapped without the
+    independence check that ``vertex3`` makes: it is only read.
+    """
+    return vertex_degrees(Vertex3(good_representative(components)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """The command-line surface: outputs, exit codes, JSON schema, budgets."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,26 @@ def test_path_json_failure_carries_report(write, capsys):
     assert doc["steps"] == [] and doc["terminal"] is None
     assert doc["degrees"] == [[0, 0, 1], [1, 0, 2], [2, 0, 3]]
     assert doc["report"]["attempts"]
+
+
+def test_closed_output_pipe_exits_0_quietly(write):
+    # `tame3 path --json F | head -1`: the reader can be gone before the
+    # child writes.  Closing the read end before the child starts makes the
+    # refused write certain instead of a race with the reader.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    path = write("word.auto", WORD_SOURCE)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tame3.cli", "path", "--json", path],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_certify_nontame(write, capsys):

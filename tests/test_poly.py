@@ -161,26 +161,3 @@ def test_equal_is_dict_equality_on_canonical_form():
     assert poly.equal(P((1, 1, 0, 0)), {(1, 0, 0): F(1)})
     assert not poly.equal(P((1, 1, 0, 0)), {})
 
-
-# --- the two kernels agree -------------------------------------------------
-
-def test_kernels_agree_when_both_present():
-    try:
-        from tame3 import _kernel
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    from tame3 import _kernel_py
-
-    import random
-
-    rng = random.Random(5)
-    for _ in range(40):
-        a = {
-            rng.randrange(0, 1 << 18): rng.randrange(-10**6, 10**6) or 1
-            for _ in range(rng.randrange(1, 25))
-        }
-        b = {
-            rng.randrange(0, 1 << 18): rng.randrange(-10**6, 10**6) or 1
-            for _ in range(rng.randrange(1, 25))
-        }
-        assert _kernel.mul_packed(a, b) == _kernel_py.mul_packed(a, b)

@@ -132,6 +132,9 @@ def test_stratified_degrees_of_nagata_components():
     assert d.stratified == ((0, 0, 1), (1, 0, 2), (2, 0, 3))
     assert d.total == (3, 0, 6)
     assert d.top == (2, 0, 3)
+    for f in (NAGATA, CUBIC, QUINTIC):
+        c = f.components
+        assert vertices.stratified_degrees(c) == vertices.vertex_degrees(vertices.vertex3(c))
 
 
 # -- vertices and orbit equality ----------------------------------------------
