@@ -2,12 +2,14 @@
 
 Subpackage map:
   poly       — sparse exact polynomials, graded-lex multidegrees
-  linalg     — exact Gauss–Jordan solves and nullspaces over ℚ
-  forms      — differential forms, wedge products, form degrees
+  linalg     — echelon forms (good representatives, affine coordinates),
+               exact Gauss–Jordan solves and nullspaces over ℚ
+  forms      — differential forms, wedge products, form degrees, the
+               degree and vanishing of df1∧…∧dfr
   analysis   — virtual degrees, multiplicity, Parachute Inequality,
                Principle of Two Maxima, degree resonance
-  vertices   — the simplicial complex: vertices, lines, points, good
-               representatives, stratified degrees, pivotal-form checks
+  vertices   — the simplicial complex: vertices, lines, points,
+               stratified degrees, pivotal-form checks
   reduction  — elementary/K-reduction search, reduction paths,
                non-tameness certificates
   parsing    — expression and automorphism-file parsing, printing

@@ -187,32 +187,23 @@ def parachute_check(f: list[Poly], phi: PolyInY) -> ParachuteReport:
     returning.
 
     df1∧ω is df1∧df2 (r = 2) or df2∧df3∧df1 = df1∧df2∧df3 (r = 3: a cyclic
-    permutation of three 1-forms keeps the sign), so it doubles as the
-    independence test.
+    permutation of three 1-forms keeps the sign), so its vanishing doubles
+    as the independence test.
     """
     if len(f) not in (2, 3):
         raise ValueError(f"parachute_check takes 2 or 3 polynomials, got {len(f)}")
     if not phi:
         raise EmptyInput("parachute_check with φ = 0")
     f1 = f[0]
-    omega = (
-        forms.differential(f[1])
-        if len(f) == 2
-        else forms.wedge11(forms.differential(f[1]), forms.differential(f[2]))
-    )
-    if isinstance(omega, forms.OneForm):
-        top_wedge = forms.wedge11(forms.differential(f1), omega)
-    else:
-        top_wedge = forms.wedge21(omega, forms.differential(f1))
-    if forms.is_zero_form(top_wedge):
+    top = forms.wedge_degree(*f)
+    if top is None:
         raise DependentInputs("components are algebraically dependent")
     virtual = virtual_degree_y(phi, f1)
     lhs = poly.deg(eval_y(phi, f1))
     # the first step of multiplicity(phi, f1), reusing the evaluation above
     m = 0 if lhs == virtual else 1 + multiplicity(y_derivative(phi), f1)
     penalty = poly.mdeg_sub(
-        poly.mdeg_add(forms.deg_form(omega), poly.deg(f1)),
-        forms.deg_form(top_wedge),
+        poly.mdeg_add(forms.wedge_degree(*f[1:]), poly.deg(f1)), top
     )
     rhs = poly.mdeg_sub(virtual, poly.mdeg_scale(m, penalty))
     report = ParachuteReport(lhs=lhs, rhs=rhs, multiplicity=m, virtual=virtual)
@@ -246,13 +237,12 @@ def two_maxima_check(f) -> TwoMaximaReport:
     maps, so a failing check raises TheoremViolated (it would be an
     implementation bug).
     """
-    components = tuple(getattr(f, "components", f))
-    f1, f2, f3 = components
-    d1, d2, d3 = (forms.differential(c) for c in components)
+    f1, f2, f3 = getattr(f, "components", f)
+    # one pair at a time: canonicalizing the triple would re-pair them
     quantities = (
-        poly.mdeg_add(poly.deg(f1), forms.deg_form(forms.wedge11(d2, d3))),
-        poly.mdeg_add(poly.deg(f2), forms.deg_form(forms.wedge11(d1, d3))),
-        poly.mdeg_add(poly.deg(f3), forms.deg_form(forms.wedge11(d1, d2))),
+        poly.mdeg_add(poly.deg(f1), forms.wedge_degree(f2, f3)),
+        poly.mdeg_add(poly.deg(f2), forms.wedge_degree(f1, f3)),
+        poly.mdeg_add(poly.deg(f3), forms.wedge_degree(f1, f2)),
     )
     maximum = poly.mdeg_max(*quantities)
     attained = sum(1 for q in quantities if q == maximum)

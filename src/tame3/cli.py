@@ -208,11 +208,9 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_wedge(args) -> int:
-    f = _load(args.file)
-    d = [forms.differential(c) for c in f.components]
+    c = _load(args.file).components
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        w = forms.wedge11(d[i], d[j])
-        print(f"deg df{i + 1}^df{j + 1}: {_mdeg(forms.deg_form(w))}")
+        print(f"deg df{i + 1}^df{j + 1}: {_mdeg(forms.wedge_degree(c[i], c[j]))}")
     return 0
 
 

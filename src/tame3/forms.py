@@ -14,13 +14,23 @@ Key facts the tests pin down (characteristic zero):
   deg (ω ∧ ω′) ≤ deg ω + deg ω′;
   deg (g·ω) = deg g + deg ω;
   f1, f2, f3 are algebraically independent iff df1∧df2∧df3 ≠ 0.
+
+``wedge_degree`` reads deg df1∧⋯∧dfr off two exact facts before building
+any wedge:
+  an affine change of (f1, …, fr) scales df1∧⋯∧dfr by its nonzero
+  determinant, so the degree is read on the good representative (g1, …, gr),
+  and the form is zero when none exists;
+  deg dg1∧⋯∧dgr = Σ deg gᵢ when the deg gᵢ are linearly independent (the
+  equality case of the degree inequality: Shestakov–Umirbaev 2004, Kuroda
+  2008): then the top terms alone wedge to a nonzero multiple of x^Σ deg gᵢ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tame3 import poly
+from tame3 import linalg, poly
+from tame3.errors import DegenerateTuple
 from tame3.poly import MultiDegree, Poly
 
 # Degrees of the basis monomials x_i, x_i x_j, x1 x2 x3.
@@ -69,39 +79,15 @@ def differential(p: Poly) -> OneForm:
     )
 
 
-# The last wedge11 call: its operands and its coefficients.  Callers that
-# check one component tuple ask for the same dfᵢ∧dfⱼ back to back (the Two
-# Maxima check's last wedge is df1∧df2, which a Parachute check on (f1, f2)
-# builds next), each from differentials it computed itself, so operands are
-# compared by content, not identity.  Older calls are not kept: on the
-# reduction search, a 64-entry memo cost more time than its hits saved.
-_last_wedge: tuple[tuple, tuple, tuple[Poly, Poly, Poly]] | None = None
-
-
 def wedge11(a: OneForm, b: OneForm) -> TwoForm:
-    """Wedge product of two 1-forms (antisymmetric: wedge11(a, a) = 0).
-
-    A call whose operands equal the previous call's reuses its coefficients;
-    every call returns fresh coefficient dicts, so callers may mutate them.
-    """
-    global _last_wedge
-    last = _last_wedge
-    if last is not None and last[0] == a.coefficients and last[1] == b.coefficients:
-        coeffs = last[2]
-    else:
-        a1, a2, a3 = a.coefficients
-        b1, b2, b3 = b.coefficients
-        coeffs = (
-            poly.sub(poly.mul(a1, b2), poly.mul(a2, b1)),
-            poly.sub(poly.mul(a1, b3), poly.mul(a3, b1)),
-            poly.sub(poly.mul(a2, b3), poly.mul(a3, b2)),
-        )
-        _last_wedge = (
-            tuple(dict(c) for c in a.coefficients),
-            tuple(dict(c) for c in b.coefficients),
-            coeffs,
-        )
-    return TwoForm(tuple(dict(c) for c in coeffs))
+    """Wedge product of two 1-forms (antisymmetric: wedge11(a, a) = 0)."""
+    a1, a2, a3 = a.coefficients
+    b1, b2, b3 = b.coefficients
+    return TwoForm((
+        poly.sub(poly.mul(a1, b2), poly.mul(a2, b1)),
+        poly.sub(poly.mul(a1, b3), poly.mul(a3, b1)),
+        poly.sub(poly.mul(a2, b3), poly.mul(a3, b2)),
+    ))
 
 
 def wedge21(t: TwoForm, o: OneForm) -> ThreeForm:
@@ -131,17 +117,34 @@ def deg_form(w: OneForm | TwoForm | ThreeForm) -> MultiDegree:
     )
 
 
+def wedge_degree(*fs: Poly) -> MultiDegree | None:
+    """deg df1∧⋯∧dfr for 1–3 polynomials; None when the form is zero."""
+    if not 1 <= len(fs) <= 3:
+        raise ValueError(f"wedge_degree takes 1-3 polynomials, got {len(fs)}")
+    try:
+        gs = linalg.good_representative(fs)
+    except DegenerateTuple:
+        return None
+    degs = [poly.deg(g) for g in gs]
+    if len(degs) == 2:
+        # linearly independent: some 2×2 minor of the two degrees is nonzero
+        (a1, a2, a3), (b1, b2, b3) = degs
+        free = (a1 * b2, a1 * b3, a2 * b3) != (a2 * b1, a3 * b1, a3 * b2)
+    else:
+        free = len(degs) == 1 or linalg.det3(degs) != 0
+    if free:
+        return tuple(map(sum, zip(*degs)))
+    # pair the two shortest: wedge11 costs about |a|·|b| term pairs, and its
+    # result, which wedge21 multiplies by dc, is about that long at most
+    a, b, *c = sorted(gs, key=len)
+    w = wedge11(differential(a), differential(b))
+    return deg_form(wedge21(w, differential(c[0])) if c else w)
+
+
 def independent(*fs: Poly) -> bool:
     """Algebraic independence of 1–3 polynomials via wedge nonvanishing.
 
     In characteristic zero, f1, …, fr are algebraically independent iff
     df1 ∧ ⋯ ∧ dfr ≠ 0.
     """
-    if not 1 <= len(fs) <= 3:
-        raise ValueError(f"independence test takes 1-3 polynomials, got {len(fs)}")
-    if len(fs) == 1:
-        return not is_zero_form(differential(fs[0]))
-    w = wedge11(differential(fs[0]), differential(fs[1]))
-    if len(fs) == 2:
-        return not is_zero_form(w)
-    return not is_zero_form(wedge21(w, differential(fs[2])))
+    return wedge_degree(*fs) is not None

@@ -383,7 +383,8 @@ def elementary_search(
         total = merged
     if not total or analysis.bipoly_is_affine(total):
         return None
-    return (total, vertex3((lo, hi, h)), optimal)
+    # inherited independence: d(h + P(hi, lo)) ∧ dhi ∧ dlo = dh ∧ dhi ∧ dlo ≠ 0
+    return (total, Vertex3(linalg.good_representative((lo, hi, h))), optimal)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,7 @@ def simple_search(v: Vertex3, center: Line, pivot: Point) -> ReductionStep | Non
         raise NotIncident("the center is not a line of the vertex")
     lo, hi = center.representative
     q = pivot.representative
-    coords = linalg.solve_exact([dict(lo), dict(hi), {_CONST: _F1}], q)
+    coords = linalg.affine_coordinates((lo, hi), q)
     if coords is None:
         raise NotIncident("the pivot is not a point of the center line")
     other = hi if not coords[1] else lo
@@ -541,7 +542,7 @@ def _weak_simple_relation(w: Vertex3, v: Vertex3, center: Line, pivot: Point) ->
     other = next(
         c
         for c in center.representative
-        if linalg.solve_exact([dict(q), {_CONST: _F1}], c) is None
+        if linalg.affine_coordinates((q,), c) is None
     )
     kmax = max(sum(poly.deg(g)), sum(poly.deg(f))) // sum(poly.deg(q))
     if kmax < 2:

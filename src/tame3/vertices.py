@@ -6,10 +6,10 @@ composition by an affine automorphism on the range: [f1, f2, f3] for type 3
 ("Point").  Two tuples give the same vertex iff an invertible affine change
 of the *values* maps one to the other — decided here by affine-span
 membership plus an invertibility check, never by comparing representatives
-syntactically.  Membership cancels the target's top term against the
-canonical component of the same degree until a constant is left (a member)
-or no component has the top degree (not a member); the canonical
-representative is in echelon form, so no linear system is solved.
+syntactically.  Canonical representatives and membership are implemented
+in ``linalg`` (``good_representative``, ``affine_coordinates``): the
+representative is in echelon form, so membership cancels top terms and
+solves no linear system.
 
 Every stored representative is canonical: constants dropped, components
 sorted by strictly increasing degree, top terms monic, colliding top degrees
@@ -40,10 +40,10 @@ from tame3.errors import (
     WitnessMismatch,
     ZeroPolynomial,
 )
+from tame3.linalg import affine_coordinates, good_representative
 from tame3.poly import MultiDegree, Poly
 
 _CONST = (0, 0, 0)
-_F0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +120,15 @@ def automorphism(
 ) -> Automorphism:
     """Validated automorphism: constant nonzero Jacobian, witness consistent.
 
-    The Jacobian is the coefficient of df1∧df2∧df3; it vanishes exactly when
-    the components are algebraically dependent.
+    The Jacobian, the coefficient of df1∧df2∧df3, vanishes iff the components
+    are algebraically dependent and is a nonzero constant iff deg df1∧df2∧df3
+    is deg dx1∧dx2∧dx3 = (1,1,1).
     """
     components = tuple(dict(c) for c in components)
-    d1, d2, d3 = (forms.differential(c) for c in components)
-    jacobian = forms.wedge21(forms.wedge11(d1, d2), d3).coefficient
-    if not jacobian:
+    top = forms.wedge_degree(*components)
+    if top is None:
         raise DependentInputs("components are algebraically dependent")
-    if poly.deg(jacobian) != _CONST:
+    if top != (1, 1, 1):
         raise NotAnAutomorphism("the Jacobian df1∧df2∧df3 is not a constant")
     if witness is not None:
         evaluated = eval_word(witness).components
@@ -163,52 +163,8 @@ def identity_automorphism() -> Automorphism:
 
 
 # ---------------------------------------------------------------------------
-# Canonical representatives and stratified degrees
+# Stratified degrees
 # ---------------------------------------------------------------------------
-
-def good_representative(components: tuple[Poly, ...]) -> tuple[Poly, ...]:
-    """Canonicalize a component tuple: the deterministic good representative.
-
-    Constants are dropped, colliding top degrees are eliminated (later
-    component minus the proportional multiple of the earlier one), the result
-    is sorted by strictly increasing degree and scaled monic.  Raises
-    DegenerateTuple when the components are linearly dependent with constants
-    (no good representative exists).
-    """
-    work = []
-    for i, p in enumerate(components):
-        q = dict(p)
-        q.pop(_CONST, None)
-        if not q:
-            raise DegenerateTuple(f"component {i + 1} is constant")
-        work.append((q, i))
-    changed = True
-    while changed:
-        changed = False
-        work.sort(key=lambda t: (poly.grlex_key(poly.deg(t[0])), t[1]))
-        for a in range(len(work)):
-            for b in range(a + 1, len(work)):
-                pa, ia = work[a]
-                pb, ib = work[b]
-                if poly.deg(pa) != poly.deg(pb):
-                    continue
-                ta, tb = poly.top_term(pa), poly.top_term(pb)
-                q = poly.sub(pb, poly.scale(tb.coefficient / ta.coefficient, pa))
-                q.pop(_CONST, None)
-                if not q:
-                    raise DegenerateTuple(
-                        "components are linearly dependent with constants"
-                    )
-                work[b] = (q, ib)
-                changed = True
-                break
-            if changed:
-                break
-    out = []
-    for p, _ in work:
-        out.append(poly.scale(1 / poly.top_term(p).coefficient, p))
-    return tuple(out)
-
 
 @dataclass(frozen=True)
 class VertexDegrees:
@@ -319,45 +275,12 @@ def is_identity(v: Vertex3) -> bool:
 # Affine-orbit equality and incidence
 # ---------------------------------------------------------------------------
 
-def _affine_coordinates(
-    basis: tuple[Poly, ...], target: Poly
-) -> list[Fraction] | None:
-    """Coefficients writing target as an affine combination of basis, or None.
-
-    basis is in echelon form, as every canonical representative is: no
-    constant components and distinct top degrees.  The top term of what is
-    left of target either is the constant (the last coordinate), or is
-    cancelled by the one basis element of that degree, or proves target
-    outside the span.  Distinct top degrees make the coordinates unique.
-    """
-    coords = [_F0] * (len(basis) + 1)
-    slot = {poly.deg(b): i for i, b in enumerate(basis)}
-    rest = dict(target)
-    while rest:
-        top = poly.deg(rest)
-        if top == _CONST:
-            coords[-1] = Fraction(rest[top])
-            break
-        i = slot.get(top)
-        if i is None:
-            return None
-        c = rest[top] / basis[i][top]
-        coords[i] = c
-        for e, b in basis[i].items():
-            s = rest.get(e, _F0) - c * b
-            if s:
-                rest[e] = s
-            else:
-                del rest[e]
-    return coords
-
-
 def _orbit_equal(a: tuple[Poly, ...], b: tuple[Poly, ...]) -> bool:
     """Affine-orbit equality of two same-length component tuples."""
     r = len(a)
     matrix = []
     for q in b:
-        coords = _affine_coordinates(a, q)
+        coords = affine_coordinates(a, q)
         if coords is None:
             return False
         matrix.append(coords[:r])
@@ -377,21 +300,21 @@ def line_equal(a: Line, b: Line) -> bool:
 
 def point_equal(a: Point, b: Point) -> bool:
     """Affine-orbit equality for type-1 vertices: q = λ·p + μ, λ ≠ 0."""
-    coords = _affine_coordinates((a.representative,), b.representative)
+    coords = affine_coordinates((a.representative,), b.representative)
     return coords is not None and coords[0] != 0
 
 
 def line_in_vertex(l: Line, v: Vertex3) -> bool:
     """True iff l is a line of v (its span sits inside v's affine span)."""
     return all(
-        _affine_coordinates(v.representative, q) is not None
+        affine_coordinates(v.representative, q) is not None
         for q in l.representative
     )
 
 
 def point_in_line(p: Point, l: Line) -> bool:
     """True iff p is a point of l."""
-    return _affine_coordinates(l.representative, p.representative) is not None
+    return affine_coordinates(l.representative, p.representative) is not None
 
 
 def lines_of(v: Vertex3) -> tuple[Line, Line, Line]:
@@ -440,7 +363,7 @@ class LineAttributes:
 def line_attributes(l: Line) -> LineAttributes:
     """The (d, Δ) attributes of a line."""
     lo, hi = l.representative
-    d = forms.deg_form(forms.wedge11(forms.differential(hi), forms.differential(lo)))
+    d = forms.wedge_degree(lo, hi)
     delta = poly.mdeg_add(poly.mdeg_sub(poly.deg(hi), poly.deg(lo)), d)
     return LineAttributes(d=d, delta=delta)
 
@@ -479,7 +402,7 @@ def complete_to_vertex(v: Vertex3, l: Line) -> Poly:
     if not line_in_vertex(l, v):
         raise NotIncident("the line is not a line of the vertex")
     for g in v.representative:
-        if _affine_coordinates(l.representative, g) is None:
+        if affine_coordinates(l.representative, g) is None:
             return g
     raise DegenerateTuple("line already spans the vertex")  # pragma: no cover
 
@@ -501,7 +424,9 @@ def neighbor(v: Vertex3, center: Line, p: BiPoly) -> Vertex3:
     corrected = poly.add(h, analysis.eval_yz(p, hi, lo))
     if not corrected or poly.deg(corrected) == _CONST:
         raise DegenerateTuple("correction collapsed the third component")
-    return vertex3((lo, hi, corrected))
+    # d(h + P(hi, lo)) ∧ dhi ∧ dlo = dh ∧ dhi ∧ dlo ≠ 0, since d(P(hi, lo))
+    # lies in the span of dhi and dlo and v is independent: no re-check.
+    return Vertex3(good_representative((lo, hi, corrected)))
 
 
 def spf_check(pivot: Point, center: Line, v: Vertex3) -> int | None:

@@ -3,10 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tame3 import forms, poly
+from tame3.reduction import reduction_path
+from tame3.vertices import eval_word
+from tame3.wordgen import GeneratorSpec, gen_tame
 
 from fixtures import CUBIC, NAGATA, P, X1, X2, X3
 
@@ -16,6 +19,33 @@ polys = st.dictionaries(exponents, coeffs, max_size=5).map(
     lambda d: {e: c for e, c in d.items() if c}
 )
 one_forms = st.tuples(polys, polys, polys).map(forms.OneForm)
+
+
+@st.composite
+def wedge_inputs(draw):
+    """1–3 polynomials: raw draws, affine combinations of them, or (f, g, f·g).
+
+    A mixing matrix with several nonzero entries makes components share the
+    top degree of the highest draw; a zero row makes a constant component and
+    a singular matrix an affinely dependent tuple.
+    """
+    r = draw(st.integers(1, 3))
+    gs = draw(st.lists(polys, min_size=r, max_size=r))
+    if r == 3 and draw(st.booleans()):
+        return (gs[0], gs[1], poly.mul(gs[0], gs[1]))
+    if draw(st.booleans()):
+        rows = [[int(i == j) for j in range(r)] for i in range(r)]
+    else:
+        row = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+        rows = draw(st.lists(row, min_size=r, max_size=r))
+    shifts = draw(st.lists(coeffs, min_size=r, max_size=r))
+    fs = []
+    for row, b in zip(rows, shifts):
+        f = poly.const(b)
+        for m, g in zip(row, gs):
+            f = poly.add(f, poly.scale(m, g))
+        fs.append(f)
+    return tuple(fs)
 
 
 # -- exterior derivative ------------------------------------------------------
@@ -127,6 +157,23 @@ def test_basis_monomial_degrees():
     assert forms.deg_form(top) == (1, 1, 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(wedge_inputs())
+@example((poly.add(poly.mul(X1, X1), X2), poly.mul(X1, X1)))
+@example((X1, poly.mul(X1, X1)))
+@example((X1, X2, poly.mul(X1, X2)))
+@example((P((3, 0, 0, 0)),))
+@example((X1, poly.add(X1, P((1, 0, 0, 0))), X3))
+def test_wedge_degree_equals_the_degree_of_the_raw_wedge(fs):
+    ds = [forms.differential(f) for f in fs]
+    w = ds[0]
+    if len(ds) >= 2:
+        w = forms.wedge11(w, ds[1])
+    if len(ds) == 3:
+        w = forms.wedge21(w, ds[2])
+    assert forms.wedge_degree(*fs) == forms.deg_form(w)
+
+
 # -- algebraic independence ---------------------------------------------------
 
 
@@ -144,6 +191,17 @@ def test_dependence_is_detected():
     f = poly.add(X1, poly.mul(X2, X2))
     g = poly.add(X2, X3)
     assert not forms.independent(f, g, poly.mul(f, g))
+
+
+def test_reduction_targets_inherit_independence():
+    # targets are built without an independence check: their 3-form is the
+    # source's, so each must still pass one
+    for seed in range(12):
+        path = reduction_path(eval_word(gen_tame(GeneratorSpec(seed=seed, length=8))))
+        for step in path.steps:
+            for u in (step.target, step.auxiliary):
+                if u is not None:
+                    assert forms.independent(*u.representative), f"seed {seed}"
 
 
 def test_independence_arity_is_checked():

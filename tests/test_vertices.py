@@ -228,10 +228,10 @@ def test_affine_coordinates_match_the_exact_solver(raw, combo, extra):
     # a monomial outside every basis support is outside the affine span
     assume(extra != (0, 0, 0) and all(extra not in b for b in basis))
     outsider = poly.add(member, poly.monomial(extra))
-    coords = vertices._affine_coordinates(basis, member)
+    coords = linalg.affine_coordinates(basis, member)
     assert coords == linalg.solve_exact(columns, member)
     assert coords == list(combo[: len(basis)]) + [combo[-1]]
-    assert vertices._affine_coordinates(basis, outsider) is None
+    assert linalg.affine_coordinates(basis, outsider) is None
     assert linalg.solve_exact(columns, outsider) is None
 
 
