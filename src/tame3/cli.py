@@ -47,6 +47,7 @@ from tame3.reduction import (
     DEFAULT_BUDGET,
     NonReducibleReport,
     ReductionStep,
+    SearchAttempt,
     _scaled,
     nontame_certificate,
     reduce_once,
@@ -145,15 +146,19 @@ def _print_step(step: ReductionStep, index: int) -> None:
     print(f"  degrees: {_strata(step.source)}  ->  {_strata(step.target)}")
 
 
+def _print_attempt(attempt: SearchAttempt) -> None:
+    where = (
+        "[" + ", ".join(format_poly(c) for c in attempt.center.representative) + "]"
+        if attempt.center is not None
+        else "-"
+    )
+    print(f"  {attempt.search} at {where}: {attempt.outcome}")
+
+
 def _print_report(report: NonReducibleReport) -> None:
     print(f"no reduction found for degrees {_strata(report.source)}")
     for attempt in report.attempts:
-        where = (
-            "[" + ", ".join(format_poly(c) for c in attempt.center.representative) + "]"
-            if attempt.center is not None
-            else "-"
-        )
-        print(f"  {attempt.search} at {where}: {attempt.outcome}")
+        _print_attempt(attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +309,7 @@ def _cmd_certify_nontame(args) -> int:
     for note in cert.no_two_delta:
         print(f"no K-move pairing: {note}")
     for attempt in cert.searched_centers:
-        where = "[" + ", ".join(
-            format_poly(c) for c in attempt.center.representative
-        ) + "]"
-        print(f"  {attempt.search} at {where}: {attempt.outcome}")
+        _print_attempt(attempt)
     return 0
 
 

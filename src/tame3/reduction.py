@@ -233,16 +233,16 @@ def _span_intersection(a: tuple[Poly, ...], b: tuple[Poly, ...]) -> list[Poly]:
     cols.append({_CONST: -_F1})
     out: list[Poly] = []
     for vec in linalg.nullspace(cols):
+        # Canonical a-components and the constant are independent, so they
+        # are pivots; the free −1 column gives w = 0, and each free b-column
+        # gives a w whose b-coefficients are 1 in its slot and 0 in the other
+        # free slots, so the nonzero w are independent modulo constants.
         w: Poly = {}
         for coeff, p in zip(vec, a):
             if coeff:
                 w = poly.add(w, poly.scale(coeff, p))
         w.pop(_CONST, None)
-        if not w:
-            continue
-        probe = [dict(q) for q in out]
-        probe.append({_CONST: _F1})
-        if linalg.solve_exact(probe, w) is None:
+        if w:
             out.append(w)
     return out
 
@@ -649,17 +649,18 @@ def _proper_probe(v: Vertex3, budget: SearchBudget) -> ReductionStep | SearchAtt
 def reduce_once(
     v: Vertex3, budget: SearchBudget = DEFAULT_BUDGET
 ) -> ReductionStep | NonReducibleReport:
-    """One strict move from v, or a report of every failed attempt.
+    """The first strict move from v, or a report of every failed attempt.
 
     Tries elementary cancellation over each line of the canonical triangle,
-    minimal line first; classified elementary-K steps win over plain ones
-    (when one exists, no other center admits an elementary move anyway).
-    Only if every line fails does the proper-K probe run.
+    minimal line first, and returns the move of the first line that yields
+    one, classified as elementary-K when all five conditions hold.  It may
+    stop there: when v has an elementary K-reduction, no other center admits
+    an elementary move, so a K-move is never preceded by a plain one.  Only
+    if every line fails does the proper-K probe run.
     """
     if is_identity(v):
         raise IdentityVertex("the identity vertex admits no reduction")
     attempts: list[SearchAttempt] = []
-    steps: list[ReductionStep] = []
     for cline in lines_of(v):
         res = elementary_search(v, cline, budget)
         if res is None:
@@ -676,34 +677,24 @@ def reduce_once(
         # is the line it shares with v.
         ev = _elementary_K_evidence(v, target, cline)
         if ev.all_hold:
-            steps.append(
-                ReductionStep(
-                    kind=KIND_ELEMENTARY_K,
-                    source=v,
-                    target=target,
-                    center=ev.center,
-                    pivot=ev.pivot,
-                    data=data,
-                    evidence=ev,
-                )
-            )
-            continue
-        kind, piv = _step_kind(cline, complete_to_vertex(v, cline), data)
-        steps.append(
-            ReductionStep(
-                kind=kind,
+            return ReductionStep(
+                kind=KIND_ELEMENTARY_K,
                 source=v,
                 target=target,
-                center=cline,
-                pivot=piv,
+                center=ev.center,
+                pivot=ev.pivot,
                 data=data,
+                evidence=ev,
             )
+        kind, piv = _step_kind(cline, complete_to_vertex(v, cline), data)
+        return ReductionStep(
+            kind=kind,
+            source=v,
+            target=target,
+            center=cline,
+            pivot=piv,
+            data=data,
         )
-    for step in steps:
-        if step.kind == KIND_ELEMENTARY_K:
-            return step
-    if steps:
-        return steps[0]
     probe = _proper_probe(v, budget)
     if isinstance(probe, ReductionStep):
         return probe

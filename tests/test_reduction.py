@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tame3 import poly
+from tame3 import poly, reduction
 from tame3.errors import (
     HypothesesUnmet,
     IdentityVertex,
@@ -21,6 +21,7 @@ from tame3.reduction import (
     ReductionStep,
     SearchBudget,
     _connecting_bipoly,
+    _elementary_K_evidence,
     classify_elementary_K,
     classify_proper_K,
     elementary_K_report,
@@ -38,12 +39,15 @@ from tame3.vertices import (
     eval_word,
     identity_vertex,
     line,
+    line_equal,
+    lines_of,
     point,
     spf_check,
     vertex3,
     vertex_degrees,
     vertex_equal,
 )
+from tame3.wordgen import GeneratorSpec, gen_tame
 
 from fixtures import (
     CUBIC,
@@ -392,3 +396,44 @@ def test_shared_center_requires_neighbors(cubic_pair):
         shared_center(v, v)
     with pytest.raises(NotNeighbors):
         shared_center(v, identity_vertex())
+
+
+def _criterion_6_map(seed):
+    return eval_word(gen_tame(GeneratorSpec(seed=seed, length=8)))
+
+
+def test_reduce_once_stops_at_the_first_line_with_a_move(monkeypatch):
+    v = vertex3(_criterion_6_map(0).components)
+    assert elementary_search(v, lines_of(v)[0]) is not None
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return elementary_search(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "elementary_search", counted)
+    step = reduce_once(v)
+    assert isinstance(step, ReductionStep)
+    assert len(calls) == 1
+    assert line_equal(step.center, lines_of(v)[0])
+
+
+def test_an_elementary_k_move_excludes_every_other_center():
+    # reduce_once returns the first line's move; that is only right because a
+    # vertex with an elementary K-move has no elementary move at another center
+    maps = [_criterion_6_map(seed) for seed in range(6)] + [CUBIC, QUINTIC]
+    k_vertices = 0
+    for f in maps:
+        path = reduction_path(f)
+        assert isinstance(path, ReductionPath)
+        for step in path.steps:
+            if step.kind != KIND_PROPER_K:
+                assert line_equal(shared_center(step.source, step.target), step.center)
+            v = step.source
+            found = [(l, elementary_search(v, l)) for l in lines_of(v)]
+            for i, (l, res) in enumerate(found):
+                if res is None or not _elementary_K_evidence(v, res[1], l).all_hold:
+                    continue
+                k_vertices += 1
+                assert all(r is None for j, (_, r) in enumerate(found) if j != i)
+    assert k_vertices == 2
