@@ -15,7 +15,7 @@ grammar — ``x1/2`` is a syntax error at the slash.
 
 An automorphism file is UTF-8 text with ``#`` comments: an optional ``word:``
 prologue listing tame factors (``affine`` with twelve rationals, row-major
-matrix then shift, or ``elem i (EXPR)``), applied left to right, followed by
+matrix then shift, or ``elem i (EXPR)``), leftmost outermost, followed by
 exactly three component expressions separated by semicolons or newlines.  A
 declared word must evaluate to the components exactly.
 """

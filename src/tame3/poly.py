@@ -245,7 +245,7 @@ def _unpack(k: int) -> Exponent:
 def _cleared(p: Poly) -> tuple[dict[int, int], int]:
     """Packed integer coefficient map and the common denominator cleared."""
     den = reduce(math.lcm, (c.denominator for c in p.values()), 1)
-    return {_pack(e): (c * den).numerator for e, c in p.items()}, den
+    return {_pack(e): c.numerator * (den // c.denominator) for e, c in p.items()}, den
 
 
 def mul(a: Poly, b: Poly) -> Poly:

@@ -19,10 +19,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from tame3 import analysis, forms, linalg, poly
+from tame3 import analysis, linalg, poly
 from tame3.analysis import BiPoly
 from tame3.errors import (
     BudgetExceeded,
+    DegenerateTuple,
     DependentInputs,
     HypothesesUnmet,
     IdentityVertex,
@@ -770,9 +771,10 @@ def nontame_certificate(f: Automorphism) -> NonTameCertificate | None:
     (the auxiliary vertex of a proper move shares them).  Returns None as
     soon as either half is inconclusive — including for the identity.
     """
-    if not forms.independent(*f.components):
-        raise DependentInputs("components are algebraically dependent")
-    v = vertex3(f.components)
+    try:
+        v = vertex3(f.components)
+    except DegenerateTuple:
+        raise DependentInputs("components are algebraically dependent") from None
     if is_identity(v):
         return None
     strata = vertex_degrees(v).stratified

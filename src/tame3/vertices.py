@@ -57,14 +57,19 @@ class Affine:
     matrix: tuple[tuple[Fraction, ...], ...]
     shift: tuple[Fraction, Fraction, Fraction]
 
-    def components(self) -> tuple[Poly, Poly, Poly]:
+    def after(self, comps: tuple[Poly, Poly, Poly]) -> tuple[Poly, Poly, Poly]:
+        """self ∘ comps: row r is b_r + Σ_j M_rj·comps_j, with no product."""
         out = []
         for row, b in zip(self.matrix, self.shift):
             p = poly.const(b)
-            for j, a in enumerate(row):
-                p = poly.add(p, poly.scale(a, poly.variable(j + 1)))
+            for a, c in zip(row, comps):
+                if a:
+                    p = poly.add(p, poly.scale(a, c))
             out.append(p)
         return tuple(out)
+
+    def components(self) -> tuple[Poly, Poly, Poly]:
+        return self.after((poly.variable(1), poly.variable(2), poly.variable(3)))
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,15 @@ class Elementary:
     index: int
     p: Poly
 
-    def components(self) -> tuple[Poly, Poly, Poly]:
-        out = [poly.variable(1), poly.variable(2), poly.variable(3)]
-        out[self.index - 1] = poly.add(out[self.index - 1], self.p)
+    def after(self, comps: tuple[Poly, Poly, Poly]) -> tuple[Poly, Poly, Poly]:
+        """self ∘ comps: comps_index moves by P(comps), the others are kept."""
+        out = list(comps)
+        i = self.index - 1
+        out[i] = poly.add(comps[i], poly.substitute(self.p, comps))
         return tuple(out)
+
+    def components(self) -> tuple[Poly, Poly, Poly]:
+        return self.after((poly.variable(1), poly.variable(2), poly.variable(3)))
 
 
 @dataclass(frozen=True)
@@ -138,13 +148,19 @@ def automorphism(
 
 
 def eval_word(w: TameWord) -> Automorphism:
-    """Evaluate a tame word left to right into a witnessed automorphism."""
-    comps = (poly.variable(1), poly.variable(2), poly.variable(3))
+    """Evaluate a tame word, innermost factor first, into a witnessed automorphism.
+
+    Each factor goes after the composite of those to its right, so an affine
+    one only combines components and an elementary one moves one; outermost
+    first would substitute every factor into all three components.  Affine
+    factors are checked left to right first: SingularAffine names the leftmost.
+    """
     for factor in w.factors:
         if isinstance(factor, Affine) and linalg.det3(factor.matrix) == 0:
             raise SingularAffine(f"affine matrix {factor.matrix} is singular")
-        target = factor.components()
-        comps = tuple(poly.substitute(c, target) for c in comps)
+    comps = (poly.variable(1), poly.variable(2), poly.variable(3))
+    for factor in reversed(w.factors):
+        comps = factor.after(comps)
     return Automorphism(comps, w)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from tame3 import linalg, poly
 from tame3.poly import Poly
-from tame3.vertices import Elementary, TameWord, affine, elementary
+from tame3.vertices import Elementary, TameWord, affine, elementary, identity_automorphism
 
 # Cap on the total degree of any component of the running composite.  Keeps
 # the property suites fast: exact reduction of a vertex costs roughly the
@@ -130,10 +130,8 @@ def _draw_strict_elem(
     i = min((t for t in range(3) if t != m), key=lambda t: poly.grlex_key(degrees[t]))
     e = [0, 0, 0]
     e[m] = 2
-    p = {tuple(e): Fraction(1)}
-    new = list(comps)
-    new[i] = poly.add(comps[i], poly.mul(comps[m], comps[m]))
-    return elementary(i + 1, p), tuple(new)
+    factor = elementary(i + 1, {tuple(e): Fraction(1)})
+    return factor, factor.after(comps)
 
 
 def gen_tame(spec: GeneratorSpec) -> TameWord:
@@ -145,29 +143,13 @@ def gen_tame(spec: GeneratorSpec) -> TameWord:
     if spec.length == 0:
         return TameWord(())
     rng = random.Random(spec.seed)
-    comps: tuple[Poly, Poly, Poly] = (
-        poly.variable(1),
-        poly.variable(2),
-        poly.variable(3),
-    )
+    comps = identity_automorphism().components
     drawn = []  # innermost factor first; reversed into the word at the end
     use_affine = bool(_draw(rng, 2))
     for _ in range(spec.length):
         if use_affine:
             factor = _draw_affine(rng, spec.coeff_bound)
-            comps = tuple(
-                poly.add(
-                    poly.const(factor.shift[r]),
-                    poly.add(
-                        poly.add(
-                            poly.scale(factor.matrix[r][0], comps[0]),
-                            poly.scale(factor.matrix[r][1], comps[1]),
-                        ),
-                        poly.scale(factor.matrix[r][2], comps[2]),
-                    ),
-                )
-                for r in range(3)
-            )
+            comps = factor.after(comps)
         else:
             found = _draw_strict_elem(rng, comps, spec)
             if found is None:

@@ -2,8 +2,9 @@
 
 Everything here trades speed for obviousness: direct convolution for
 products, monomial-by-monomial expansion for substitution, synthetic
-division for root orders, and a filter over the support for top forms.
-None of it goes through the packed multiplication kernel.
+division for root orders, a filter over the support for top forms, and
+word factors read off their fields.  None of it goes through the packed
+multiplication kernel or the factors' own methods.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from fractions import Fraction
 from tame3 import analysis, poly
 from tame3.analysis import PolyInY
 from tame3.poly import Poly
+from tame3.vertices import Affine
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def naive_mul(a: Poly, b: Poly) -> Poly:
@@ -47,6 +51,39 @@ def naive_substitute(p: Poly, targets: tuple[Poly, Poly, Poly]) -> Poly:
             else:
                 out.pop(e, None)
     return out
+
+
+def evaluate(p: Poly, pt: tuple[Fraction, Fraction, Fraction]) -> Fraction:
+    """p at a rational point, term by term."""
+    x, y, z = pt
+    return sum((c * x**a * y**b * z**d for (a, b, d), c in p.items()), Fraction(0))
+
+
+def factor_components(factor) -> tuple[Poly, Poly, Poly]:
+    """A word factor's components, read off its matrix and shift or index and P."""
+    if isinstance(factor, Affine):
+        out = []
+        for row, b in zip(factor.matrix, factor.shift):
+            comp = {e: a for e, a in zip(_UNITS, row) if a}
+            if b:
+                comp[(0, 0, 0)] = b
+            out.append(comp)
+        return tuple(out)
+    out = [{e: Fraction(1)} for e in _UNITS]
+    out[factor.index - 1].update(factor.p)  # P does not involve x_index
+    return tuple(out)
+
+
+def apply_factor(factor, pt: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """The image of a rational point under one word factor."""
+    if isinstance(factor, Affine):
+        return tuple(
+            b + sum(a * x for a, x in zip(row, pt))
+            for row, b in zip(factor.matrix, factor.shift)
+        )
+    out = list(pt)
+    out[factor.index - 1] += evaluate(factor.p, pt)
+    return tuple(out)
 
 
 def top_form(p: Poly) -> Poly:

@@ -6,6 +6,7 @@ import pytest
 
 from tame3 import poly, reduction
 from tame3.errors import (
+    DependentInputs,
     HypothesesUnmet,
     IdentityVertex,
     NotIncident,
@@ -34,6 +35,7 @@ from tame3.reduction import (
     square_rewrite,
 )
 from tame3.vertices import (
+    Automorphism,
     TameWord,
     automorphism,
     eval_word,
@@ -251,6 +253,13 @@ def test_nagata_certificate():
     assert cert.combination_free == (0, 1, 2)
     assert len(cert.no_two_delta) == 3
     assert len(cert.searched_centers) == 3
+
+
+def test_certificate_rejects_dependent_components():
+    # (x1, x1, x3) is linearly dependent, (x1, x1², x3) only algebraically
+    for comps in ((X1, X1, X3), (X1, poly.mul(X1, X1), X3)):
+        with pytest.raises(DependentInputs, match="^components are algebraically dependent$"):
+            nontame_certificate(Automorphism(comps))
 
 
 def test_unwitnessed_nonreducible_path_fails_fast():

@@ -16,7 +16,9 @@ from tame3.errors import (
     SingularAffine,
     WitnessMismatch,
 )
+from tame3.wordgen import GeneratorSpec, gen_tame
 
+import oracles
 from fixtures import CUBIC, NAGATA, P, QUINTIC, X1, X2, X3
 
 ONE = P((1, 0, 0, 0))
@@ -26,6 +28,37 @@ exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 polys = st.dictionaries(exponents, coeffs, min_size=1, max_size=4).map(
     lambda d: {e: c for e, c in d.items() if c}
 )
+
+small = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+points = st.tuples(small, small, small)
+affine_factors = st.builds(
+    vertices.affine,
+    st.tuples(points, points, points).filter(lambda m: linalg.det3(m) != 0),
+    points,
+)
+
+
+@st.composite
+def elementary_factors(draw):
+    i = draw(st.integers(1, 3))
+    free = st.tuples(*(st.just(0) if t == i - 1 else st.integers(0, 2) for t in range(3)))
+    p = draw(st.dictionaries(free, coeffs, min_size=1, max_size=3))
+    return vertices.elementary(i, {e: c for e, c in p.items() if c})
+
+
+def words(max_generated: int):
+    """Hand-built words (shifted, rational, non-diagonal affine factors in any
+    order) and generated ones (alternating kinds, strictly growing degrees)."""
+    return st.one_of(
+        st.lists(st.one_of(affine_factors, elementary_factors()), max_size=4).map(
+            lambda fs: vertices.TameWord(tuple(fs))
+        ),
+        st.builds(
+            lambda seed, n: gen_tame(GeneratorSpec(seed, n, coeff_bound=3)),
+            st.integers(0, 10**6),
+            st.integers(0, max_generated),
+        ),
+    )
 
 
 # -- factors and words --------------------------------------------------------
@@ -87,6 +120,46 @@ def test_compose_concatenates_witnesses():
     assert fg.witness == vertices.TameWord(w1.factors + w2.factors)
     bare = vertices.Automorphism((X1, X2, X3))
     assert vertices.compose(f, bare).witness is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(words(5), points)
+def test_eval_word_is_the_declared_composite(w, pt):
+    comps = (X1, X2, X3)  # leftmost factor outermost: fold left to right
+    for factor in w.factors:
+        target = oracles.factor_components(factor)
+        comps = tuple(oracles.naive_substitute(c, target) for c in comps)
+    f = vertices.eval_word(w)
+    assert f.components == comps
+    image = pt
+    for factor in reversed(w.factors):  # the innermost factor acts first
+        image = oracles.apply_factor(factor, image)
+    assert tuple(oracles.evaluate(c, pt) for c in f.components) == image
+
+
+@settings(max_examples=50, deadline=None)
+@given(words(2), words(2), points)
+def test_compose_is_composition_at_points(w1, w2, pt):
+    f, g = vertices.eval_word(w1), vertices.eval_word(w2)
+    fg = vertices.compose(f, g)
+    inner = tuple(oracles.evaluate(c, pt) for c in g.components)
+    assert tuple(oracles.evaluate(c, pt) for c in fg.components) == tuple(
+        oracles.evaluate(c, inner) for c in f.components
+    )
+
+
+def test_eval_word_names_the_leftmost_singular_affine():
+    def singular(row):
+        m = tuple(tuple(F(a) for a in r) for r in (row, row, (0, 0, 1)))
+        return vertices.Affine(m, (F(0), F(0), F(0)))
+
+    left, right = singular((1, 2, 0)), singular((0, 1, 0))
+    swap = vertices.affine(((0, 1, 0), (1, 0, 0), (0, 0, 1)), (1, 0, 0))
+    w = vertices.TameWord((vertices.elementary(1, P((1, 0, 2, 0))), left, swap, right))
+    with pytest.raises(SingularAffine) as err:
+        vertices.eval_word(w)
+    assert str(left.matrix) in str(err.value)
+    assert str(right.matrix) not in str(err.value)
 
 
 def test_automorphism_validation():
