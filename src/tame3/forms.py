@@ -23,6 +23,32 @@ any wedge:
   deg dg1∧⋯∧dgr = Σ deg gᵢ when the deg gᵢ are linearly independent (the
   equality case of the degree inequality: Shestakov–Umirbaev 2004, Kuroda
   2008): then the top terms alone wedge to a nonzero multiple of x^Σ deg gᵢ.
+Otherwise it wedges the packed integer differentials of the representative
+and reads the degree off the packed keys, building no Fraction.
+
+The wedge kernels work on packed integer maps (see ``poly``): each form's
+three coefficients are cleared over one common denominator, and public
+``Poly``s are built only at the end.  ``wedge11`` lays each 1-form out as rows
+(monomial, c1, c2, c3) over the union of its coefficient supports and, for
+each row of b, packs
+
+    B1 = b2 + b3·2^S,   B2 = b3·2^2S − b1,   B3 = −(b1·2^S + b2·2^2S)
+
+so that one product per row pair, a1·B1 + a2·B2 + a3·B3, adds the three
+minors a1b2 − a2b1, a1b3 − a3b1 and a2b3 − a3b2 into fields 0, 1 and 2 of
+one integer accumulator per output monomial.  The field width S is derived
+from the operands.  Let A be the sum of |c| over every cleared coefficient
+of a, and B the same for b.  A row pair adds at most |aᵢbⱼ| + |aⱼbᵢ| ≤
+(|a1| + |a2| + |a3|)(|b1| + |b2| + |b3|) to a field, and summed over all row
+pairs that is A·B; so every field's final sum lies in [−A·B, A·B].  With
+S = bit_length(A·B) + 1, A·B < 2^(S−1): each field lies strictly inside
+(−2^(S−1), 2^(S−1)), the range in which a signed S-bit field decodes
+uniquely, lowest field first with its borrow taken out of the next.  The
+accumulator is an exact Python int, so only the final sums must fit, not
+the partial ones.
+``wedge21`` adds t12·o3 − t13·o2 + t23·o1 in the single accumulator of
+``poly._sum_of_products``.  Both kernels raise DegreeOverflow where ``mul``
+would on any of the products they stand for.
 """
 
 from __future__ import annotations
@@ -79,26 +105,79 @@ def differential(p: Poly) -> OneForm:
     )
 
 
+def _rows(
+    c1: dict[int, int], c2: dict[int, int], c3: dict[int, int]
+) -> list[tuple[int, int, int, int]]:
+    """(monomial, c1, c2, c3) over the union of the packed coefficient supports."""
+    return [(k, c1.get(k, 0), c2.get(k, 0), c3.get(k, 0)) for k in {**c1, **c2, **c3}]
+
+
+_OFF_DIAGONAL = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
+
+
+def _minors(
+    a: list[dict[int, int]], b: list[dict[int, int]]
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """a1b2 − a2b1, a1b3 − a3b1, a2b3 − a3b2 of two packed 1-forms, in one pass."""
+    ta = [poly._top_total(c) if c else 0 for c in a]
+    tb = [poly._top_total(c) if c else 0 for c in b]
+    poly._check_cap(
+        max((ta[i] + tb[j] for i, j in _OFF_DIAGONAL if a[i] and b[j]), default=0)
+    )
+    bound = sum(abs(c) for m in a for c in m.values()) * sum(
+        abs(c) for m in b for c in m.values()
+    )
+    s = bound.bit_length() + 1
+    s2 = 2 * s
+    brows = [
+        (kb, b2 + (b3 << s), (b3 << s2) - b1, -((b1 << s) + (b2 << s2)))
+        for kb, b1, b2, b3 in _rows(*b)
+    ]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ka, a1, a2, a3 in _rows(*a):
+        for kb, p1, p2, p3 in brows:
+            e = ka + kb
+            acc[e] = get(e, 0) + a1 * p1 + a2 * p2 + a3 * p3
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    m12: dict[int, int] = {}
+    m13: dict[int, int] = {}
+    m23: dict[int, int] = {}
+    for k, v in acc.items():
+        f = ((v + half) & mask) - half
+        if f:
+            m12[k] = f
+        v = (v - f) >> s
+        f = ((v + half) & mask) - half
+        if f:
+            m13[k] = f
+        v = (v - f) >> s
+        if v:
+            m23[k] = v
+    return m12, m13, m23
+
+
+def _top_coefficient(t: list[dict[int, int]], o: list[dict[int, int]]) -> dict[int, int]:
+    """t12·o3 − t13·o2 + t23·o1 of a packed 2-form and 1-form (zeros kept)."""
+    (t12, t13, t23), (o1, o2, o3) = t, o
+    minus_o2 = {k: -c for k, c in o2.items()}
+    return poly._sum_of_products(((t12, o3), (t13, minus_o2), (t23, o1)))
+
+
 def wedge11(a: OneForm, b: OneForm) -> TwoForm:
     """Wedge product of two 1-forms (antisymmetric: wedge11(a, a) = 0)."""
-    a1, a2, a3 = a.coefficients
-    b1, b2, b3 = b.coefficients
-    return TwoForm((
-        poly.sub(poly.mul(a1, b2), poly.mul(a2, b1)),
-        poly.sub(poly.mul(a1, b3), poly.mul(a3, b1)),
-        poly.sub(poly.mul(a2, b3), poly.mul(a3, b2)),
-    ))
+    pa, den_a = poly._cleared(*a.coefficients)
+    pb, den_b = poly._cleared(*b.coefficients)
+    den = den_a * den_b
+    return TwoForm(tuple(poly._unpacked(m, den) for m in _minors(pa, pb)))
 
 
 def wedge21(t: TwoForm, o: OneForm) -> ThreeForm:
     """Wedge product of a 2-form and a 1-form into the top exterior power."""
-    t12, t13, t23 = t.coefficients
-    o1, o2, o3 = o.coefficients
     # (t12 dx1∧dx2 + t13 dx1∧dx3 + t23 dx2∧dx3) ∧ (o1 dx1 + o2 dx2 + o3 dx3)
-    coeff = poly.add(
-        poly.sub(poly.mul(t12, o3), poly.mul(t13, o2)), poly.mul(t23, o1)
-    )
-    return ThreeForm(coeff)
+    pt, den_t = poly._cleared(*t.coefficients)
+    po, den_o = poly._cleared(*o.coefficients)
+    return ThreeForm(poly._unpacked(_top_coefficient(pt, po), den_t * den_o))
 
 
 def scale_form(g: Poly, w: OneForm) -> OneForm:
@@ -134,11 +213,17 @@ def wedge_degree(*fs: Poly) -> MultiDegree | None:
         free = len(degs) == 1 or linalg.det3(degs) != 0
     if free:
         return tuple(map(sum, zip(*degs)))
-    # pair the two shortest: wedge11 costs about |a|·|b| term pairs, and its
-    # result, which wedge21 multiplies by dc, is about that long at most
-    a, b, *c = sorted(gs, key=len)
-    w = wedge11(differential(a), differential(b))
-    return deg_form(wedge21(w, differential(c[0])) if c else w)
+    # pair the two shortest: the minors cost about |a|·|b| row pairs, and
+    # their result, which the 3-form multiplies by dc, is about that long at
+    # most.  A positive common denominator does not move the degree.
+    a, b, *c = poly._cleared(*sorted(gs, key=len))[0]
+    w = _minors(poly._partials(a), poly._partials(b))
+    if not c:
+        return poly.mdeg_max(
+            *(poly.mdeg_add(poly._packed_deg(m), e) for m, e in zip(w, _TWO_BASIS_DEG))
+        )
+    top = _top_coefficient(w, poly._partials(c[0]))
+    return poly.mdeg_add(poly._packed_deg(top), _THREE_BASIS_DEG)
 
 
 def independent(*fs: Poly) -> bool:

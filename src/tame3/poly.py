@@ -14,17 +14,20 @@ same comparator also serves the *extended* comparisons needed by resonance
 analysis — differences and rational multiples of degrees, which live in ℤ³ or
 ℚ³.  Those are compared exactly via Fraction arithmetic, never through floats.
 
-Multiplication is the package's one hot loop.  It clears denominators per
-operand, convolves the integer coefficient maps in pure Python, and
-reattaches a single rational scale.  Inside the loop each monomial is packed
+Products run on packed integers.  ``_cleared`` clears the denominators of
+one or more polynomials over one common denominator and packs each monomial
 into one int (a1 << 42 | a2 << 21 | a3), so multiplying monomials is integer
 addition; the degree cap below keeps every exponent component well inside
-its 21-bit field.
+its 21-bit field.  ``_sum_of_products`` convolves: Σ aᵢ·bᵢ over pairs of
+packed maps, in one integer accumulator.  ``mul`` calls it with one pair and
+reattaches a rational scale; ``forms.wedge21`` calls it with three.  The only
+other loop over term pairs is the one-pass minors kernel of ``forms.wedge11``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -242,34 +245,79 @@ def _unpack(k: int) -> Exponent:
     return (k >> 42, (k >> 21) & _MASK, k & _MASK)
 
 
-def _cleared(p: Poly) -> tuple[dict[int, int], int]:
-    """Packed integer coefficient map and the common denominator cleared."""
-    den = reduce(math.lcm, (c.denominator for c in p.values()), 1)
-    return {_pack(e): c.numerator * (den // c.denominator) for e, c in p.items()}, den
+def _total(k: int) -> int:
+    """Total degree of a packed monomial."""
+    return (k >> 42) + ((k >> 21) & _MASK) + (k & _MASK)
+
+
+def _top_total(p: dict[int, int]) -> int:
+    """Largest total degree in the support of a nonzero packed map."""
+    return max(map(_total, p))
+
+
+def _check_cap(d: int) -> None:
+    """Raise DegreeOverflow for a product of total degree d past the cap."""
+    if d > MAX_TOTAL_DEGREE:
+        raise DegreeOverflow(f"product degree {d} exceeds cap {MAX_TOTAL_DEGREE}")
+
+
+def _packed_deg(p: dict[int, int]) -> MultiDegree:
+    """Graded-lex degree of a packed map, zero entries ignored; None if all are."""
+    top = max(((_total(k), k) for k, c in p.items() if c), default=None)
+    return None if top is None else _unpack(top[1])
+
+
+def _cleared(*ps: Poly) -> tuple[list[dict[int, int]], int]:
+    """Packed integer coefficient maps of ps over one common denominator, and it."""
+    den = reduce(math.lcm, (c.denominator for p in ps for c in p.values()), 1)
+    return [
+        {_pack(e): c.numerator * (den // c.denominator) for e, c in p.items()}
+        for p in ps
+    ], den
+
+
+def _sum_of_products(
+    pairs: Iterable[tuple[dict[int, int], dict[int, int]]],
+) -> dict[int, int]:
+    """Σ a·b over pairs of packed integer maps, in one accumulator.
+
+    Checks the degree cap on every pair.  Zero sums stay in the result.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    for pa, pb in pairs:
+        if pa and pb:
+            _check_cap(_top_total(pa) + _top_total(pb))
+        if len(pa) < len(pb):  # outer loop over the larger operand
+            pa, pb = pb, pa
+        items_b = list(pb.items())
+        for ea, ca in pa.items():
+            for eb, cb in items_b:
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+    return out
+
+
+def _partials(p: dict[int, int]) -> list[dict[int, int]]:
+    """∂p/∂x1, ∂p/∂x2, ∂p/∂x3 of a packed map, taken on the packed keys."""
+    return [
+        {k - (1 << s): c * e for k, c in p.items() if (e := (k >> s) & _MASK)}
+        for s in (42, 21, 0)
+    ]
+
+
+def _unpacked(p: dict[int, int], den: int) -> Poly:
+    """The Poly of a packed integer map over den, zeros dropped."""
+    return {_unpack(k): Fraction(c, den) for k, c in p.items() if c}
 
 
 def mul(a: Poly, b: Poly) -> Poly:
     """a · b (exact; deg(a·b) = deg a + deg b)."""
     if not a or not b:
         return {}
-    da, db = deg(a), deg(b)
-    if sum(da) + sum(db) > MAX_TOTAL_DEGREE:
-        raise DegreeOverflow(
-            f"product degree {sum(da) + sum(db)} exceeds cap {MAX_TOTAL_DEGREE}"
-        )
-    pa, den_a = _cleared(a)
-    pb, den_b = _cleared(b)
-    den = den_a * den_b
-    if len(pa) < len(pb):  # outer loop over the larger operand
-        pa, pb = pb, pa
-    out: dict[int, int] = {}
-    get = out.get
-    items_b = list(pb.items())
-    for ea, ca in pa.items():
-        for eb, cb in items_b:
-            e = ea + eb
-            out[e] = get(e, 0) + ca * cb
-    return {_unpack(k): Fraction(c, den) for k, c in out.items() if c}
+    (pa,), den_a = _cleared(a)
+    (pb,), den_b = _cleared(b)
+    return _unpacked(_sum_of_products(((pa, pb),)), den_a * den_b)
 
 
 def p_pow(p: Poly, n: int) -> Poly:

@@ -7,11 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tame3 import forms, poly
+from tame3.errors import DegreeOverflow
 from tame3.reduction import reduction_path
 from tame3.vertices import eval_word
 from tame3.wordgen import GeneratorSpec, gen_tame
 
-from fixtures import CUBIC, NAGATA, P, X1, X2, X3
+from fixtures import CUBIC, NAGATA, QUINTIC, P, X1, X2, X3
+from oracles import naive_mul
 
 coeffs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -19,6 +21,16 @@ polys = st.dictionaries(exponents, coeffs, max_size=5).map(
     lambda d: {e: c for e, c in d.items() if c}
 )
 one_forms = st.tuples(polys, polys, polys).map(forms.OneForm)
+
+# wide coefficients on a few monomials, so supports overlap within and
+# between forms as often as they are disjoint
+wide_coeffs = st.builds(F, st.integers(-(2**64), 2**64), st.integers(1, 2**16))
+wide_polys = st.dictionaries(
+    st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 1)]),
+    wide_coeffs,
+    max_size=4,
+).map(lambda d: {e: c for e, c in d.items() if c})
+wide_triples = st.tuples(wide_polys, wide_polys, wide_polys)
 
 
 @st.composite
@@ -104,6 +116,80 @@ def test_wedge_antisymmetry(a, b):
         assert u == poly.neg(v)
 
 
+def oracle_minors(a: forms.OneForm, b: forms.OneForm) -> tuple:
+    """a_i·b_j − a_j·b_i in the basis order (12, 13, 23), by naive products."""
+    a, b = a.coefficients, b.coefficients
+    return tuple(
+        poly.sub(naive_mul(a[i], b[j]), naive_mul(a[j], b[i]))
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+
+
+def oracle_top(t: forms.TwoForm, o: forms.OneForm) -> poly.Poly:
+    """t12·o3 − t13·o2 + t23·o1 by naive products."""
+    (t12, t13, t23), (o1, o2, o3) = t.coefficients, o.coefficients
+    return poly.add(poly.sub(naive_mul(t12, o3), naive_mul(t13, o2)), naive_mul(t23, o1))
+
+
+BIG = 2**64
+# the middle minor a1b3 − a3b1 sums to 0 between two large negative neighbours:
+# at one row pair, and across two row pairs that meet at x1·x2
+BORROW_ONE_ROW = (
+    forms.OneForm((P((1, 0, 0, 0)), P((BIG, 0, 0, 0)), P((-1, 0, 0, 0)))),
+    forms.OneForm((P((1, 0, 0, 0)), P((-BIG, 0, 0, 0)), P((-1, 0, 0, 0)))),
+)
+BORROW_TWO_ROWS = (
+    forms.OneForm((
+        P((2**32, 1, 0, 0)),
+        P((-BIG, 1, 0, 0), (BIG, 0, 1, 0)),
+        P((F(5 * 2**32, 3), 0, 1, 0)),
+    )),
+    forms.OneForm((
+        P((F(3 * 2**32, 5), 1, 0, 0)),
+        P((-BIG, 0, 1, 0), (BIG, 1, 0, 0)),
+        P((2**32, 0, 1, 0)),
+    )),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_triples, wide_triples, wide_triples)
+@example(*(f.coefficients for f in BORROW_ONE_ROW), ({}, {}, P((-BIG, 0, 0, 0))))
+@example(*(f.coefficients for f in BORROW_TWO_ROWS), (P((BIG, 0, 0, 0)), {}, {}))
+def test_wedge_kernels_match_naive_minors(a, b, c):
+    a, b, c = forms.OneForm(a), forms.OneForm(b), forms.OneForm(c)
+    minors = oracle_minors(a, b)
+    assert forms.wedge11(a, b).coefficients == minors
+    t = forms.TwoForm(minors)
+    assert forms.wedge21(t, c).coefficient == oracle_top(t, c)
+    # a 2-form with wide coefficients of its own, not a wedge
+    u = forms.TwoForm(c.coefficients)
+    assert forms.wedge21(u, a).coefficient == oracle_top(u, a)
+
+
+def test_borrow_examples_have_a_zero_middle_minor():
+    for (a, b), e in ((BORROW_ONE_ROW, (0, 0, 0)), (BORROW_TWO_ROWS, (1, 1, 0))):
+        m12, m13, m23 = oracle_minors(a, b)
+        assert e not in m13
+        assert m12[e] <= -(2**65) and m23[e] <= -(2**65)
+
+
+def test_wedge_kernels_keep_the_degree_cap():
+    top = poly.MAX_TOTAL_DEGREE
+    big = poly.monomial((top, 0, 0))
+    with pytest.raises(DegreeOverflow):
+        forms.wedge11(forms.differential(big), forms.differential(poly.monomial((0, 5, 0))))
+    with pytest.raises(DegreeOverflow):
+        forms.wedge21(forms.TwoForm((big, {}, {})), forms.differential(poly.monomial((0, 0, 5))))
+    # collinear top degrees, so the wedge of d(x1^top) and d(x1^5 + x2^4) is built
+    with pytest.raises(DegreeOverflow):
+        forms.wedge_degree(big, P((1, 5, 0, 0), (1, 0, 4, 0)))
+    # a product of total degree exactly the cap is allowed
+    edge = forms.differential(poly.monomial((top - 3, 0, 0)))
+    w = forms.wedge11(edge, forms.differential(poly.monomial((0, 5, 0))))
+    assert w.coefficients == (P((5 * (top - 3), top - 4, 4, 0)), {}, {})
+
+
 def test_wedge_repeats_are_fresh_and_follow_operands():
     d1, d3 = forms.differential(poly.mul(X1, X2)), forms.differential(X3)
     first = forms.wedge11(d1, d3)
@@ -164,6 +250,12 @@ def test_basis_monomial_degrees():
 @example((X1, X2, poly.mul(X1, X2)))
 @example((P((3, 0, 0, 0)),))
 @example((X1, poly.add(X1, P((1, 0, 0, 0))), X3))
+@example(CUBIC.components)
+@example(QUINTIC.components)
+@example(NAGATA.components)
+@example(CUBIC.components[:2])
+@example(QUINTIC.components[1:])
+@example(NAGATA.components[::2])
 def test_wedge_degree_equals_the_degree_of_the_raw_wedge(fs):
     ds = [forms.differential(f) for f in fs]
     w = ds[0]
