@@ -8,7 +8,10 @@ The virtual degree of φ = Σ Pᵢ·yⁱ with respect to g is
 max_i (deg Pᵢ + i·deg g): the degree φ(g) would have if no top terms
 cancelled.  The strict-drop case deg_virt > deg is what the whole reduction
 theory revolves around; the multiplicity m(φ, g) measures how far the drop can
-go, and the Parachute Inequality bounds it:
+go.  It is the order of the top term ḡ as a root of the top component of φ,
+which multiplicity reads off scalars without evaluating φ(g); φ(g) and
+φ(g, h) are evaluated by poly's one Horner loop.  The Parachute Inequality
+bounds the drop:
 
     deg φ(f1)  ≥  deg_virt φ(f1) − m(φ,f1)·(deg ω + deg f1 − deg df1∧ω)
 
@@ -45,36 +48,12 @@ def y_poly(pairs: dict[int, Poly]) -> PolyInY:
 
 def eval_y(phi: PolyInY, g: Poly) -> Poly:
     """Evaluate φ(g) by Horner over the sparse y-exponents."""
-    if not phi:
-        return {}
-    exps = sorted(phi, reverse=True)
-    acc = dict(phi[exps[0]])
-    prev = exps[0]
-    for i in exps[1:]:
-        acc = poly.add(poly.mul(acc, poly.p_pow(g, prev - i)), phi[i])
-        prev = i
-    if prev:
-        acc = poly.mul(acc, poly.p_pow(g, prev))
-    return acc
-
-
-def y_derivative(phi: PolyInY) -> PolyInY:
-    """∂φ/∂y = Σ i·Pᵢ·y^(i−1)."""
-    return {i - 1: poly.scale(i, p) for i, p in phi.items() if i}
-
-
-def curry_y(phi: BiPoly, h: Poly) -> PolyInY:
-    """View φ(y, z) as a y-polynomial with coefficients Pᵢ = Σ_j c_{ij}·hʲ."""
-    out: PolyInY = {}
-    for (i, j), c in phi.items():
-        term = poly.scale(c, poly.p_pow(h, j))
-        out[i] = poly.add(out.get(i, {}), term)
-    return y_poly(out)
+    return poly._horner1(phi, g)
 
 
 def eval_yz(phi: BiPoly, g: Poly, h: Poly) -> Poly:
-    """Evaluate φ(g, h)."""
-    return eval_y(curry_y(phi, h), g)
+    """Evaluate φ(g, h): substitute g and h for x1 and x2 in φ read as a Poly."""
+    return poly.substitute({(i, j, 0): c for (i, j), c in phi.items() if c}, (g, h, {}))
 
 
 def bipoly_is_affine(phi: BiPoly) -> bool:
@@ -124,8 +103,9 @@ def top_component(phi: PolyInY, g: Poly) -> PolyInY:
     """Σ (top term of Pᵢ)·yⁱ over the indices attaining the virtual degree.
 
     Substituting the top term ḡ for y in the result captures exactly the
-    candidate top terms of φ(g); φ(g) drops below the virtual degree iff that
-    substitution cancels, i.e. iff (y − ḡ) divides the top component.
+    candidate top terms of φ(g).  Each of them is a scalar times x^virtual,
+    so φ(g) drops below the virtual degree iff the scalars sum to zero, i.e.
+    iff (y − ḡ) divides the top component.  ``multiplicity`` reads m off it.
     """
     vd = virtual_degree_y(phi, g)
     dg = poly.deg(g)
@@ -140,18 +120,19 @@ def top_component(phi: PolyInY, g: Poly) -> PolyInY:
 def multiplicity(phi: PolyInY, g: Poly) -> int:
     """The smallest m with deg_virt φ⁽ᵐ⁾(g) = deg φ⁽ᵐ⁾(g) (y-derivatives).
 
-    Equals the order of ḡ as a root of the top component; the derivative
-    iteration terminates because each step lowers the y-degree, and a
-    y-constant φ has no cancellation at all.
+    That is the order of ḡ = t·x^deg g as a root of the top component
+    T = Σ cᵢ·x^eᵢ·yⁱ: T(ḡ) = (Σ cᵢ·tⁱ)·x^virtual, and while it vanishes the
+    top component of φ' is T'.  So m is the order of t as a root of Σ cᵢ·tⁱ.
     """
     if not phi:
         raise EmptyInput("multiplicity of the zero polynomial")
     if not g or poly.deg(g) == (0, 0, 0):
         raise ZeroPolynomial("multiplicity with respect to a constant")
+    t = poly.top_term(g).coefficient
+    coeffs = {i: c for i, p in top_component(phi, g).items() for c in p.values()}
     m = 0
-    current = phi
-    while virtual_degree_y(current, g) != poly.deg(eval_y(current, g)):
-        current = y_derivative(current)
+    while not sum(c * t**i for i, c in coeffs.items()):
+        coeffs = {i - 1: i * c for i, c in coeffs.items() if i}
         m += 1
     return m
 
@@ -199,9 +180,9 @@ def parachute_check(f: list[Poly], phi: PolyInY) -> ParachuteReport:
     if top is None:
         raise DependentInputs("components are algebraically dependent")
     virtual = virtual_degree_y(phi, f1)
-    lhs = poly.deg(eval_y(phi, f1))
-    # the first step of multiplicity(phi, f1), reusing the evaluation above
-    m = 0 if lhs == virtual else 1 + multiplicity(y_derivative(phi), f1)
+    m = multiplicity(phi, f1)
+    # m = 0 means φ(f1) attains its virtual degree: evaluate only on a drop
+    lhs = virtual if m == 0 else poly.deg(eval_y(phi, f1))
     penalty = poly.mdeg_sub(
         poly.mdeg_add(forms.wedge_degree(*f[1:]), poly.deg(f1)), top
     )

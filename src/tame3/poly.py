@@ -22,6 +22,10 @@ its 21-bit field.  ``_sum_of_products`` convolves: Σ aᵢ·bᵢ over pairs of
 packed maps, in one integer accumulator.  ``mul`` calls it with one pair and
 reattaches a rational scale; ``forms.wedge21`` calls it with three.  The only
 other loop over term pairs is the one-pass minors kernel of ``forms.wedge11``.
+
+Evaluation runs through one Horner loop, ``_horner1``: Σ cᵢ·tⁱ for a
+sparse map of polynomial coefficients cᵢ.  ``substitute`` runs it once per
+variable, and ``analysis.eval_y`` runs it on a polynomial in y.
 """
 
 from __future__ import annotations
@@ -381,13 +385,21 @@ def _horner(p: Poly, target: tuple[Poly, Poly, Poly], axis: int) -> Poly:
         k = rest[axis]
         rest[axis] = 0
         groups.setdefault(k, {})[tuple(rest)] = c
-    exps = sorted(groups, reverse=True)
-    t = target[axis]
-    acc = _horner(groups[exps[0]], target, axis + 1)
+    return _horner1(
+        {k: _horner(q, target, axis + 1) for k, q in groups.items()}, target[axis]
+    )
+
+
+def _horner1(coeffs: dict[int, Poly], t: Poly) -> Poly:
+    """Σ coeffs[i]·tⁱ by Horner over the sparse exponents i, with gap powers."""
+    if not coeffs:
+        return {}
+    exps = sorted(coeffs, reverse=True)
+    acc = dict(coeffs[exps[0]])
     prev = exps[0]
-    for k in exps[1:]:
-        acc = add(mul(acc, p_pow(t, prev - k)), _horner(groups[k], target, axis + 1))
-        prev = k
+    for i in exps[1:]:
+        acc = add(mul(acc, p_pow(t, prev - i)), coeffs[i])
+        prev = i
     if prev:
         acc = mul(acc, p_pow(t, prev))
     return acc

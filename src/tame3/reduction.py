@@ -332,12 +332,10 @@ def elementary_search(
     optimal True when the final stage was infeasible rather than cut off by
     the support cap; None when no strict drop exists within budget.
     """
-    if not line_in_vertex(center, v):
-        raise NotIncident("the center is not a line of the vertex")
+    h = complete_to_vertex(v, center)  # raises NotIncident off the vertex
     lo, hi = center.representative
     d_lo, d_hi = poly.deg(lo), poly.deg(hi)
     d_line = line_attributes(center).d
-    h = complete_to_vertex(v, center)
     products: dict[tuple[int, int], Poly] = {}
 
     def product(i: int, j: int) -> Poly:
@@ -434,15 +432,13 @@ def simple_search(v: Vertex3, center: Line, pivot: Point) -> ReductionStep | Non
     what keeps the corrected family free of degree collisions).  Returns a
     strict step or None.
     """
-    if not line_in_vertex(center, v):
-        raise NotIncident("the center is not a line of the vertex")
+    h = complete_to_vertex(v, center)  # raises NotIncident off the vertex
     lo, hi = center.representative
     q = pivot.representative
     coords = linalg.affine_coordinates((lo, hi), q)
     if coords is None:
         raise NotIncident("the pivot is not a point of the center line")
     other = hi if not coords[1] else lo
-    h = complete_to_vertex(v, center)
     d_q, d_other = poly.deg(q), poly.deg(other)
     target = dict(h)
     powers: dict[int, Fraction] = {}
@@ -455,9 +451,10 @@ def simple_search(v: Vertex3, center: Line, pivot: Point) -> ReductionStep | Non
             continue
         k = analysis.nat_multiple(d_q, d_t)
         if k is not None and k >= 1:
-            c = -poly.top_term(target).coefficient / poly.top_term(poly.p_pow(q, k)).coefficient
+            qk = poly.p_pow(q, k)
+            c = -poly.top_term(target).coefficient / poly.top_term(qk).coefficient
             powers[k] = powers.get(k, Fraction(0)) + c
-            target = poly.add(target, poly.scale(c, poly.p_pow(q, k)))
+            target = poly.add(target, poly.scale(c, qk))
             continue
         break
     qpart = {k: c for k, c in powers.items() if c}

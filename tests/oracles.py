@@ -1,18 +1,20 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here trades speed for obviousness: direct convolution for
-products, monomial-by-monomial expansion for substitution, synthetic
-division for root orders, a filter over the support for top forms, and
-word factors read off their fields.  None of it goes through the packed
-multiplication kernel or the factors' own methods.
+products, monomial-by-monomial expansion for substitution, term-by-term
+powers for y-polynomials, synthetic division for root orders, derivatives
+evaluated in full for multiplicities, a filter over the support for top
+forms and top components, and word factors read off their fields.  None of
+it goes through the packed multiplication kernel, the library's Horner
+loop, its top component or the factors' own methods.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from tame3 import analysis, poly
-from tame3.analysis import PolyInY
+from tame3 import poly
+from tame3.analysis import BiPoly, PolyInY
 from tame3.poly import Poly
 from tame3.vertices import Affine
 
@@ -95,16 +97,72 @@ def top_form(p: Poly) -> Poly:
     return {d: p[d]}
 
 
+def _degree(p: Poly) -> tuple[int, int, int]:
+    """The exponent of top_form(p)."""
+    (d,) = top_form(p)
+    return d
+
+
+def _index_degrees(phi: PolyInY, g: Poly) -> dict[int, tuple[int, int, int]]:
+    """deg Pᵢ + i·deg g for every index i of φ, read off top forms."""
+    dg = _degree(g)
+    return {i: tuple(a + i * b for a, b in zip(_degree(p), dg)) for i, p in phi.items()}
+
+
+def _virtual(phi: PolyInY, g: Poly) -> tuple[int, int, int]:
+    """The virtual degree: max over i of deg Pᵢ + i·deg g."""
+    return max(_index_degrees(phi, g).values(), key=poly.grlex_key)
+
+
+def naive_top_component(phi: PolyInY, g: Poly) -> PolyInY:
+    """Σ top_form(Pᵢ)·yⁱ over the indices i whose deg Pᵢ + i·deg g is maximal."""
+    vd = _virtual(phi, g)
+    return {i: top_form(phi[i]) for i, d in _index_degrees(phi, g).items() if d == vd}
+
+
+def naive_eval_y(phi: PolyInY, g: Poly) -> Poly:
+    """Σ Pᵢ·gⁱ, each power built by repeated naive multiplication."""
+    out: Poly = {}
+    for i, p in phi.items():
+        out = poly.add(out, naive_mul(p, naive_pow(g, i)))
+    return out
+
+
+def naive_curry_y(phi: BiPoly, h: Poly) -> PolyInY:
+    """φ(y, z) as a y-polynomial with coefficients Pᵢ = Σ_j c_{ij}·hʲ."""
+    out: PolyInY = {}
+    for (i, j), c in phi.items():
+        if not c:
+            continue
+        term = {e: c * cc for e, cc in naive_pow(h, j).items()}
+        out[i] = poly.add(out.get(i, {}), term)
+    return {i: p for i, p in out.items() if p}
+
+
+def derivative_multiplicity(phi: PolyInY, g: Poly) -> int:
+    """m(φ, g) by its definition: the smallest m with deg φ⁽ᵐ⁾(g) equal to
+    the virtual degree of φ⁽ᵐ⁾ with respect to g (y-derivatives).
+
+    Evaluates every derivative in full; each step lowers the y-degree, and
+    a y-constant φ has no cancellation at all.
+    """
+    m = 0
+    while poly.deg(naive_eval_y(phi, g)) != _virtual(phi, g):
+        phi = {i - 1: {e: i * c for e, c in p.items()} for i, p in phi.items() if i}
+        m += 1
+    return m
+
+
 def root_order(phi: PolyInY, g: Poly) -> int:
     """Order of ḡ (the top term of g) as a root of the top component of φ.
 
-    Repeated synthetic division of top_component(φ, g) by (y − ḡ): divide
-    while the remainder vanishes.  The claimed equality with
-    analysis.multiplicity (derivative iteration) is what the caller tests.
+    Repeated synthetic division of naive_top_component(φ, g) by (y − ḡ):
+    divide while the remainder vanishes.  The claimed equality with
+    analysis.multiplicity and derivative_multiplicity is what the caller
+    tests.
     """
-    bar = analysis.top_component(phi, g)
-    t = poly.top_term(g)
-    gbar: Poly = {t.exponents: t.coefficient}
+    bar = naive_top_component(phi, g)
+    gbar = top_form(g)
     order = 0
     while bar:
         n = max(bar)
@@ -120,7 +178,7 @@ def root_order(phi: PolyInY, g: Poly) -> int:
         if remainder:
             return order
         order += 1
-        bar = analysis.y_poly(quot)
+        bar = {i: q for i, q in quot.items() if q}
     return order
 
 
@@ -130,4 +188,4 @@ def y_mul(a: PolyInY, b: PolyInY) -> PolyInY:
     for i, p in a.items():
         for j, q in b.items():
             out[i + j] = poly.add(out.get(i + j, {}), naive_mul(p, q))
-    return analysis.y_poly(out)
+    return {i: p for i, p in out.items() if p}

@@ -44,7 +44,7 @@ from tame3.vertices import (
 from tame3.wordgen import GeneratorSpec, gen_tame
 
 from fixtures import CUBIC, NAGATA, NAGATA_SOURCE, QUINTIC, cubic_vertices, quintic_vertices
-from oracles import root_order, top_form, y_mul
+from oracles import derivative_multiplicity, root_order, top_form, y_mul
 
 ONE: analysis.Poly = {(0, 0, 0): F(1)}
 
@@ -241,7 +241,8 @@ def test_criterion_7_oracle_equivalence():
         )
         if not phi:
             continue
-        assert analysis.multiplicity(phi, g) == root_order(phi, g)
+        m = analysis.multiplicity(phi, g)
+        assert m == root_order(phi, g) == derivative_multiplicity(phi, g)
         checked += 1
     # planted roots bias the remainder of the batch toward multiplicity ≥ 1
     while checked < 200:
@@ -256,7 +257,7 @@ def test_criterion_7_oracle_equivalence():
         for _ in range(rng.randrange(1, 4)):
             phi = y_mul(phi, factor)
         m = analysis.multiplicity(phi, g)
-        assert m == root_order(phi, g)
+        assert m == root_order(phi, g) == derivative_multiplicity(phi, g)
         assert m >= 1
         checked += 1
 

@@ -11,7 +11,13 @@ from tame3 import analysis, forms, poly
 from tame3.errors import DependentInputs, EmptyInput, ZeroPolynomial
 
 from fixtures import CUBIC, NAGATA, P, QUINTIC, X1, X2, X3
-from oracles import naive_mul, naive_pow, root_order, y_mul
+from oracles import (
+    derivative_multiplicity,
+    naive_curry_y,
+    naive_eval_y,
+    root_order,
+    y_mul,
+)
 
 ONE = P((1, 0, 0, 0))
 
@@ -24,13 +30,6 @@ y_polys = st.dictionaries(st.integers(0, 3), polys, max_size=3).map(analysis.y_p
 bipolys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=3
 )
-
-
-def naive_eval_y(phi, g):
-    out = {}
-    for i, p in phi.items():
-        out = poly.add(out, naive_mul(p, naive_pow(g, i)))
-    return out
 
 
 # -- y-polynomials ------------------------------------------------------------
@@ -50,22 +49,21 @@ def test_eval_y_of_zero_is_zero():
     assert analysis.eval_y({}, X1) == {}
 
 
-def test_y_derivative():
-    phi = {3: X2, 1: X1, 0: ONE}
-    assert analysis.y_derivative(phi) == {2: poly.scale(3, X2), 0: X1}
-    assert analysis.y_derivative({0: X1}) == {}
-
-
 def test_curry_and_eval_yz():
     # φ(y, z) = y² + 3yz − z³ at (g, h) = (x1, x2)
     phi = {(2, 0): F(1), (1, 1): F(3), (0, 3): F(-1)}
-    assert analysis.curry_y(phi, X2) == {
+    assert naive_curry_y(phi, X2) == {
         2: ONE,
         1: P((3, 0, 1, 0)),
         0: P((-1, 0, 3, 0)),
     }
     expected = P((1, 2, 0, 0), (3, 1, 1, 0), (-1, 0, 3, 0))
     assert analysis.eval_yz(phi, X1, X2) == expected
+
+
+@given(bipolys, polys, polys)
+def test_eval_yz_matches_naive_curry(phi, g, h):
+    assert analysis.eval_yz(phi, g, h) == naive_eval_y(naive_curry_y(phi, h), g)
 
 
 def test_bipoly_is_affine():
@@ -97,7 +95,7 @@ def test_virtual_degree_yz_matches_curried_for_monomial_h(phi_y, g):
     h = P((2, 1, 0, 1))
     phi = {(i, j): F(1) for i in phi_y for j in range(2)}
     assert analysis.virtual_degree_yz(phi, g, h) == analysis.virtual_degree_y(
-        analysis.curry_y(phi, h), g
+        naive_curry_y(phi, h), g
     )
 
 
@@ -151,6 +149,7 @@ def test_multiplicity_of_planted_roots():
         phi = y_mul(phi, factor)
         assert analysis.multiplicity(phi, g) == k
         assert root_order(phi, g) == k
+        assert derivative_multiplicity(phi, g) == k
 
 
 def test_multiplicity_matches_root_order_on_random_inputs():
@@ -175,7 +174,8 @@ def test_multiplicity_matches_root_order_on_random_inputs():
         )
         if not phi:
             continue
-        assert analysis.multiplicity(phi, g) == root_order(phi, g)
+        m = analysis.multiplicity(phi, g)
+        assert m == root_order(phi, g) == derivative_multiplicity(phi, g)
         checked += 1
 
 
@@ -236,13 +236,37 @@ def test_parachute_agrees_with_multiplicity_and_evaluation(h, f2, bi, k, c, e):
     # k[f2], so strict virtual drops occur; every coefficient lies in k[f2]
     planted = poly.scale(c, poly.p_pow(f2, k))
     f1 = poly.add(h, planted)
-    phi = analysis.curry_y(bi, f2)
+    phi = naive_curry_y(bi, f2)
     for _ in range(e):
         phi = y_mul(phi, {1: ONE, 0: poly.neg(planted)})
     assume(phi and forms.independent(f1, f2))
     report = analysis.parachute_check([f1, f2], phi)
     assert report.multiplicity == analysis.multiplicity(phi, f1)
-    assert report.lhs == poly.deg(analysis.eval_y(phi, f1))
+    assert report.lhs == poly.deg(naive_eval_y(phi, f1))
+
+
+def test_parachute_evaluates_phi_only_on_a_drop(monkeypatch):
+    # m = 0 means φ(f1) attains its virtual degree, so nothing is evaluated
+    def refuse(phi, g):
+        raise AssertionError("eval_y called without a drop")
+
+    monkeypatch.setattr(analysis, "eval_y", refuse)
+    report = analysis.parachute_check([X1, X2], {2: ONE})
+    assert report == analysis.ParachuteReport(
+        lhs=(2, 0, 0), rhs=(2, 0, 0), multiplicity=0, virtual=(2, 0, 0)
+    )
+    # a planted drop (m = 1) still reads lhs off the evaluation
+    calls = []
+
+    def record(phi, g):
+        calls.append(phi)
+        return naive_eval_y(phi, g)
+
+    monkeypatch.setattr(analysis, "eval_y", record)
+    f1 = P((1, 1, 0, 0), (1, 0, 2, 0))
+    report = analysis.parachute_check([f1, X2], {1: ONE, 0: P((-1, 0, 2, 0))})
+    assert report.multiplicity == 1 and report.lhs == (1, 0, 0)
+    assert len(calls) == 1
 
 
 # -- Principle of Two Maxima --------------------------------------------------

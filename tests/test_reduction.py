@@ -127,6 +127,15 @@ def test_simple_search_trivial():
     assert vertex_equal(step.target, identity_vertex())
 
 
+def test_simple_search_checks_incidence():
+    v = vertex3((poly.add(X1, P((1, 0, 3, 0))), X2, X3))
+    off = line((X1, P((1, 0, 0, 2))))  # x3² is not in v's span
+    with pytest.raises(NotIncident):
+        simple_search(v, off, point(X1))
+    with pytest.raises(NotIncident):
+        simple_search(v, line((X2, X3)), point(X1))  # the pivot is off the center
+
+
 def test_simple_search_picks_the_linear_fix():
     # the residue's degree collides with the other center component, so the
     # correction acquires a linear z-term with coefficient a = -1
