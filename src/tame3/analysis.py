@@ -130,11 +130,11 @@ def multiplicity(phi: PolyInY, g: Poly) -> int:
         raise ZeroPolynomial("multiplicity with respect to a constant")
     t = poly.top_term(g).coefficient
     coeffs = {i: c for i, p in top_component(phi, g).items() for c in p.values()}
-    m = 0
-    while not sum(c * t**i for i, c in coeffs.items()):
+    for m in range(max(coeffs) + 1):  # step n = max(coeffs) leaves n!·cₙ ≠ 0
+        if sum(c * t**i for i, c in coeffs.items()):
+            return m
         coeffs = {i - 1: i * c for i, c in coeffs.items() if i}
-        m += 1
-    return m
+    raise EmptyInput("the top component of φ has only zero coefficients")
 
 
 # ---------------------------------------------------------------------------

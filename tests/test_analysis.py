@@ -186,6 +186,9 @@ def test_multiplicity_rejects_degenerate_inputs():
         analysis.multiplicity({1: ONE}, ONE)
     with pytest.raises(ZeroPolynomial):
         analysis.multiplicity({1: ONE}, {})
+    # a zero coefficient stored in the top component raises instead of looping
+    with pytest.raises(EmptyInput):
+        analysis.multiplicity({1: {(1, 0, 0): F(0)}}, X1)
 
 
 # -- Parachute Inequality -----------------------------------------------------
