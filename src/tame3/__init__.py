@@ -2,8 +2,8 @@
 
 Subpackage map:
   poly       — sparse exact polynomials, graded-lex multidegrees
-  linalg     — echelon forms (good representatives, affine coordinates),
-               exact Gauss–Jordan solves and nullspaces over ℚ
+  linalg     — one exact top-term cancellation over ℚ: good
+               representatives, affine coordinates, solves, nullspaces
   forms      — differential forms, wedge products, form degrees, the
                degree and vanishing of df1∧…∧dfr
   analysis   — virtual degrees, multiplicity, Parachute Inequality,

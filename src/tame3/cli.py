@@ -61,6 +61,7 @@ from tame3.vertices import (
     compose,
     eval_word,
     is_identity,
+    stratified_degrees,
     vertex3,
     vertex_degrees,
     vertex_equal,
@@ -271,8 +272,7 @@ def _cmd_path(args) -> int:
             "steps": [] if failed else [_jsonable(s) for s in out.steps],
             "terminal": None if failed else _jsonable(out.terminal),
             "degrees": [
-                _mdeg_json(d)
-                for d in vertex_degrees(vertex3(f.components)).stratified
+                _mdeg_json(d) for d in stratified_degrees(f.components).stratified
             ],
         }
         if failed:

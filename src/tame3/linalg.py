@@ -1,14 +1,12 @@
-"""Exact linear algebra over ℚ: echelon forms and Gauss–Jordan solves.
+"""Exact linear algebra over ℚ through one top-term cancellation.
 
-``good_representative`` brings a component tuple to echelon form (no
-constants, distinct monic top terms); ``affine_coordinates`` decides
-affine-span membership over such a basis by cancelling top terms.
-
-The reduction search's cancellation stages, span intersections and
-connecting corrections have no echelon structure and solve here densely.
-Those systems are tall and narrow — rows are monomials (hundreds at most),
-columns are a handful of candidate polynomials — so a fraction-exact
-Gauss-Jordan sweep is both simple and fast enough.
+Vectors are sparse mappings from an orderable row key to Fraction; a
+vector's top is its largest row.  ``_reduce`` cancels tops against pivots
+with distinct tops, and it is the only elimination here: good
+representatives (echelon form: no constants, distinct monic top terms),
+affine coordinates over them, and the searches' solves and nullspaces.
+Exponent-triple rows are ordered graded-lex, so a canonical column is
+already echelon and becomes a pivot with no arithmetic.
 """
 
 from __future__ import annotations
@@ -22,35 +20,66 @@ from tame3.poly import Poly
 
 _CONST = (0, 0, 0)
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
-def _rref(rows: list[list[Fraction]], n: int) -> list[int]:
-    """Gauss–Jordan sweep over the first n columns of rows, in place.
+def _add_multiple(acc: dict, c: Fraction, vec: Mapping) -> None:
+    """acc += c·vec in place, dropping the entries that cancel."""
+    for k, v in vec.items():
+        s = acc.get(k, _F0) + c * v
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
 
-    Each pivot row is scaled to a leading 1 and cleared from every other row;
-    columns past n are carried along.  Returns the pivot columns in order:
-    pivot k sits in row k, and rows past the last pivot are zero on the
-    first n columns.
+
+def _reduce(pivots: Mapping, p: Mapping, key) -> tuple[dict, dict]:
+    """Cancel the top of p against the pivot with that top, while one exists.
+
+    pivots maps a row to a vector whose top (largest row under key) is that
+    row.  Returns (rest, taken) with p = rest + Σ taken[t]·pivots[t]; rest
+    is empty or its top is no pivot's.  A nonzero combination of pivots has
+    a pivot's top, so a nonempty rest proves p outside their span.
     """
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+    rest = {k: v for k, v in p.items() if v}
+    taken: dict = {}
+    while rest:
+        top = max(rest, key=key)
+        piv = pivots.get(top)
         if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
             break
-    return pivot_cols
+        c = taken[top] = rest[top] / piv[top]
+        _add_multiple(rest, -c, piv)
+    return rest, taken
+
+
+def _echelon(columns: Sequence[Mapping], key) -> tuple[dict, dict, list[dict]]:
+    """Take the columns in order; each becomes a pivot or a free column.
+
+    Returns (pivots, exprs, free): the reduced pivot columns by top, their
+    expressions over the original pivot columns by the same top, and per
+    free column j, in order, a combination {j: 1, …} equal to zero.
+    """
+    pivots: dict = {}
+    exprs: dict = {}
+    free: list[dict] = []
+    for j, col in enumerate(columns):
+        rest, taken = _reduce(pivots, col, key)
+        expr = {j: _F1}
+        for t, c in taken.items():
+            _add_multiple(expr, -c, exprs[t])
+        if rest:
+            top = max(rest, key=key)
+            pivots[top] = rest
+            exprs[top] = expr
+        else:
+            free.append(expr)
+    return pivots, exprs, free
+
+
+def _row_key(k):
+    """Graded-lex on exponent triples; any other row key orders as itself."""
+    return poly.grlex_key(k) if isinstance(k, tuple) else k
 
 
 def solve_exact(
@@ -63,22 +92,14 @@ def solve_exact(
     orderable row key to Fraction).  When the system is underdetermined the
     returned solution sets every free variable to zero.
     """
-    keys: set = set(rhs)
-    for col in columns:
-        keys.update(col)
-    ordered = sorted(keys)
-    n = len(columns)
-    rows = [
-        [col.get(k, _F0) for col in columns] + [Fraction(rhs.get(k, _F0))]
-        for k in ordered
-    ]
-    pivot_cols = _rref(rows, n)
-    if any(row[n] for row in rows[len(pivot_cols):]):
+    pivots, exprs, _ = _echelon(columns, _row_key)
+    rest, taken = _reduce(pivots, rhs, _row_key)
+    if rest:
         return None
-    x = [_F0] * n
-    for idx, c in enumerate(pivot_cols):
-        x[c] = rows[idx][n]
-    return x
+    x: dict = {}
+    for t, c in taken.items():
+        _add_multiple(x, c, exprs[t])
+    return [x.get(i, _F0) for i in range(len(columns))]
 
 
 def nullspace(
@@ -86,24 +107,12 @@ def nullspace(
 ) -> list[list[Fraction]]:
     """Exact basis of {x : Σ xᵢ·columnᵢ = 0} for sparse columns.
 
-    Returns one coefficient vector per free column of the reduced system;
-    an all-zero column family yields the standard basis.
+    Returns one coefficient vector per free column, a column in the span of
+    the columns before it, with 1 in that column's slot and 0 in the other
+    free slots; an all-zero column family yields the standard basis.
     """
-    keys: set = set()
-    for col in columns:
-        keys.update(col)
-    ordered = sorted(keys)
-    n = len(columns)
-    rows = [[col.get(k, _F0) for col in columns] for k in ordered]
-    pivot_cols = _rref(rows, n)
-    basis: list[list[Fraction]] = []
-    for free in (c for c in range(n) if c not in pivot_cols):
-        vec = [_F0] * n
-        vec[free] = Fraction(1)
-        for idx, pc in enumerate(pivot_cols):
-            vec[pc] = -rows[idx][free]
-        basis.append(vec)
-    return basis
+    _, _, free = _echelon(columns, _row_key)
+    return [[expr.get(i, _F0) for i in range(len(columns))] for expr in free]
 
 
 def det2(m: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -120,11 +129,11 @@ def det3(m: Sequence[Sequence[Fraction]]) -> Fraction:
 def good_representative(components: tuple[Poly, ...]) -> tuple[Poly, ...]:
     """Canonicalize a component tuple: the deterministic good representative.
 
-    Constants are dropped, colliding top degrees are eliminated (later
-    component minus the proportional multiple of the earlier one), the result
-    is sorted by strictly increasing degree and scaled monic.  Raises
-    DegenerateTuple when the components are linearly dependent with constants
-    (no good representative exists).
+    Constants are dropped, each component's top is cancelled against the
+    earlier components' (already reduced) in graded-lex order, and the
+    result is sorted by strictly increasing degree and scaled monic.  Raises
+    DegenerateTuple when the components are linearly dependent with
+    constants (no good representative exists).
     """
     work = []
     for i, p in enumerate(components):
@@ -132,24 +141,17 @@ def good_representative(components: tuple[Poly, ...]) -> tuple[Poly, ...]:
         q.pop(_CONST, None)
         if not q:
             raise DegenerateTuple(f"component {i + 1} is constant")
-        work.append((q, i))
-    while True:
-        work.sort(key=lambda t: (poly.grlex_key(poly.deg(t[0])), t[1]))
-        # sorted, so the first collision is between neighbours
-        k = next(
-            (k for k in range(1, len(work))
-             if poly.deg(work[k - 1][0]) == poly.deg(work[k][0])),
-            None,
-        )
-        if k is None:
-            return tuple(poly.scale(1 / poly.top_term(p).coefficient, p) for p, _ in work)
-        (pa, _), (pb, ib) = work[k - 1], work[k]
-        ratio = poly.top_term(pb).coefficient / poly.top_term(pa).coefficient
-        q = poly.sub(pb, poly.scale(ratio, pa))
-        q.pop(_CONST, None)
-        if not q:
+        work.append(q)
+    pivots: dict = {}
+    for q in work:
+        rest, _ = _reduce(pivots, q, poly.grlex_key)
+        if not rest:
             raise DegenerateTuple("components are linearly dependent with constants")
-        work[k] = (q, ib)
+        pivots[poly.deg(rest)] = rest
+    return tuple(
+        poly.scale(1 / pivots[t][t], pivots[t])
+        for t in sorted(pivots, key=poly.grlex_key)
+    )
 
 
 def affine_coordinates(
@@ -158,28 +160,13 @@ def affine_coordinates(
     """Coefficients writing target as an affine combination of basis, or None.
 
     basis is in echelon form, as every canonical representative is: no
-    constant components and distinct top degrees.  The top term of what is
-    left of target either is the constant (the last coordinate), or is
-    cancelled by the one basis element of that degree, or proves target
-    outside the span.  Distinct top degrees make the coordinates unique.
+    constant components and distinct top degrees.  Cancelling top terms
+    leaves the constant (the last coordinate) or proves target outside the
+    span.  Distinct top degrees make the coordinates unique.
     """
-    coords = [_F0] * (len(basis) + 1)
-    slot = {poly.deg(b): i for i, b in enumerate(basis)}
-    rest = dict(target)
-    while rest:
-        top = poly.deg(rest)
-        if top == _CONST:
-            coords[-1] = Fraction(rest[top])
-            break
-        i = slot.get(top)
-        if i is None:
-            return None
-        c = rest[top] / basis[i][top]
-        coords[i] = c
-        for e, b in basis[i].items():
-            s = rest.get(e, _F0) - c * b
-            if s:
-                rest[e] = s
-            else:
-                del rest[e]
-    return coords
+    tops = [poly.deg(b) for b in basis]
+    rest, taken = _reduce(dict(zip(tops, basis)), target, poly.grlex_key)
+    const = rest.pop(_CONST, _F0)
+    if rest:
+        return None
+    return [taken.get(t, _F0) for t in tops] + [Fraction(const)]

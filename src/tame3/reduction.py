@@ -460,7 +460,7 @@ def simple_search(v: Vertex3, center: Line, pivot: Point) -> ReductionStep | Non
     qpart = {k: c for k, c in powers.items() if c}
     if not any(k >= 2 for k in qpart):
         return None
-    partial = poly.add(h, analysis.eval_y({k: poly.const(c) for k, c in qpart.items()}, q))
+    partial = poly.sub(target, poly.scale(a, other))  # h + Q(q)
     d_h = poly.deg(h)
     if not (poly.mdeg_lt(poly.deg(partial), d_h) and poly.mdeg_lt(poly.deg(target), d_h)):
         return None

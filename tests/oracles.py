@@ -4,17 +4,21 @@ Everything here trades speed for obviousness: direct convolution for
 products, monomial-by-monomial expansion for substitution, term-by-term
 powers for y-polynomials, synthetic division for root orders, derivatives
 evaluated in full for multiplicities, a filter over the support for top
-forms and top components, and word factors read off their fields.  None of
-it goes through the packed multiplication kernel, the library's Horner
-loop, its top component or the factors' own methods.
+forms and top components, word factors read off their fields, ranks read
+off nonzero minors, and good representatives by sorting and cancelling
+colliding neighbours.  None of it goes through the packed multiplication
+kernel, the library's Horner loop, its top component, the factors' own
+methods or the library's elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from tame3 import poly
 from tame3.analysis import BiPoly, PolyInY
+from tame3.errors import DegenerateTuple
 from tame3.poly import Poly
 from tame3.vertices import Affine
 
@@ -189,3 +193,59 @@ def y_mul(a: PolyInY, b: PolyInY) -> PolyInY:
         for j, q in b.items():
             out[i + j] = poly.add(out.get(i + j, {}), naive_mul(p, q))
     return {i: p for i, p in out.items() if p}
+
+
+def det(m: list[list[Fraction]]) -> Fraction:
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def rank(vectors: list[dict]) -> int:
+    """Largest k with a nonzero k×k minor, the vectors taken as columns."""
+    keys = list({k for v in vectors for k in v})
+    m = [[v.get(k, Fraction(0)) for v in vectors] for k in keys]
+    for k in range(min(len(m), len(vectors)), 0, -1):
+        for rs in combinations(range(len(m)), k):
+            for cs in combinations(range(len(vectors)), k):
+                if det([[m[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+def sort_and_collide(components: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """The good representative by repeated neighbour collisions.
+
+    Drops constants, sorts by (graded-lex degree, input index), and replaces
+    the later of the first two neighbours with equal degrees by itself minus
+    the proportional multiple of the earlier one, until the degrees are
+    distinct; then scales every component monic.
+    """
+    work = []
+    for i, p in enumerate(components):
+        q = dict(p)
+        q.pop((0, 0, 0), None)
+        if not q:
+            raise DegenerateTuple(f"component {i + 1} is constant")
+        work.append((q, i))
+    while True:
+        work.sort(key=lambda t: (poly.grlex_key(poly.deg(t[0])), t[1]))
+        k = next(
+            (k for k in range(1, len(work))
+             if poly.deg(work[k - 1][0]) == poly.deg(work[k][0])),
+            None,
+        )
+        if k is None:
+            return tuple(poly.scale(1 / poly.top_term(p).coefficient, p) for p, _ in work)
+        (pa, _), (pb, ib) = work[k - 1], work[k]
+        ratio = poly.top_term(pb).coefficient / poly.top_term(pa).coefficient
+        q = poly.sub(pb, poly.scale(ratio, pa))
+        q.pop((0, 0, 0), None)
+        if not q:
+            raise DegenerateTuple("components are linearly dependent with constants")
+        work[k] = (q, ib)

@@ -158,6 +158,23 @@ def test_path_json_failure_carries_report(write, capsys):
     assert doc["report"]["attempts"]
 
 
+def test_path_json_reads_degrees_without_building_the_vertex_again(
+    write, capsys, monkeypatch
+):
+    # the input was checked on loading and by the path itself; its degrees
+    # are read off the good representative, with no second df1∧df2∧df3
+    path = write("word.auto", WORD_SOURCE)
+    assert cli.main(["path", path, "--json"]) == 0
+    expected = capsys.readouterr().out
+
+    def built(components):
+        raise AssertionError("vertex3 was called")
+
+    monkeypatch.setattr(cli, "vertex3", built)
+    assert cli.main(["path", path, "--json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_closed_output_pipe_exits_0_quietly(write):
     # `tame3 path --json F | head -1`: the reader can be gone before the
     # child writes.  Closing the read end before the child starts makes the

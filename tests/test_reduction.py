@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tame3 import poly, reduction
+from tame3 import analysis, poly, reduction
 from tame3.errors import (
     DependentInputs,
     HypothesesUnmet,
@@ -154,6 +154,17 @@ def test_simple_search_picks_the_linear_fix():
         (P((1, 1, 0, 0), (-1, 0, 0, 1)), X2, P((1, 0, 0, 1), (1, 0, 2, 0)))
     )
     assert vertex_equal(step.target, expected)
+
+
+def test_simple_search_evaluates_no_polynomial_in_the_pivot(monkeypatch):
+    # the stripping loop has already added every c·q^k into the target, so
+    # h + Q(q) is read off it rather than evaluated again
+    def evaluated(phi, g):
+        raise AssertionError("Q(q) was evaluated")
+
+    monkeypatch.setattr(analysis, "eval_y", evaluated)
+    test_simple_search_trivial()
+    test_simple_search_picks_the_linear_fix()
 
 
 def test_simple_search_none_without_cancellation():
