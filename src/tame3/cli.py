@@ -201,7 +201,7 @@ def _budget(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_deg(args) -> int:
-    out = vertex_degrees(vertex3(_load(args.file).components))
+    out = stratified_degrees(_load(args.file).components)
     print("stratified:", " ".join(_mdeg(d) for d in out.stratified))
     print("total:", _mdeg(out.total))
     return 0

@@ -115,11 +115,6 @@ def nullspace(
     return [[expr.get(i, _F0) for i in range(len(columns))] for expr in free]
 
 
-def det2(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a 2×2 matrix."""
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
 def det3(m: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a 3×3 matrix."""
     (a, b, c), (d, e, f), (g, h, i) = m

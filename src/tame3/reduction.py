@@ -537,11 +537,9 @@ def _weak_simple_relation(w: Vertex3, v: Vertex3, center: Line, pivot: Point) ->
     g = complete_to_vertex(w, center)
     f = complete_to_vertex(v, center)
     q = pivot.representative
-    other = next(
-        c
-        for c in center.representative
-        if linalg.affine_coordinates((q,), c) is None
-    )
+    lo, hi = center.representative
+    # a canonical point of the center is lo itself or has hi's top
+    other = hi if poly.deg(q) == poly.deg(lo) else lo
     kmax = max(sum(poly.deg(g)), sum(poly.deg(f))) // sum(poly.deg(q))
     if kmax < 2:
         return False
@@ -659,7 +657,9 @@ def reduce_once(
     if is_identity(v):
         raise IdentityVertex("the identity vertex admits no reduction")
     attempts: list[SearchAttempt] = []
-    for cline in lines_of(v):
+    g1, g2, g3 = v.representative
+    # lines_of(v) leaves out g3, g2, g1 in turn: each line's completion
+    for cline, h in zip(lines_of(v), (g3, g2, g1)):
         res = elementary_search(v, cline, budget)
         if res is None:
             attempts.append(
@@ -684,7 +684,7 @@ def reduce_once(
                 data=data,
                 evidence=ev,
             )
-        kind, piv = _step_kind(cline, complete_to_vertex(v, cline), data)
+        kind, piv = _step_kind(cline, h, data)
         return ReductionStep(
             kind=kind,
             source=v,
@@ -848,13 +848,7 @@ def _connecting_bipoly(
     d_hi, d_lo = poly.deg(hi), poly.deg(lo)
     floor = poly.mdeg_max(poly.mdeg_max(poly.deg(ts), poly.deg(tu)), d_hi)
     bound = floor if bound is None else poly.mdeg_max(bound, floor)
-    cands = [
-        (i, j)
-        for i in range(sum(bound) // sum(d_hi) + 1)
-        for j in range(sum(bound) // sum(d_lo) + 1)
-        if i + j
-        and poly.mdeg_le(tuple(i * a + j * b for a, b in zip(d_hi, d_lo)), bound)
-    ]
+    cands = _stage_candidates(_CONST, bound, d_hi, d_lo)
     cols = [dict(tu)]
     cols.extend(dict(poly.mul(poly.p_pow(hi, i), poly.p_pow(lo, j))) for i, j in cands)
     sol = linalg.solve_exact(cols, ts)

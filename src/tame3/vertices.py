@@ -5,11 +5,14 @@ composition by an affine automorphism on the range: [f1, f2, f3] for type 3
 ("Vertex3"), pairs for type 2 ("Line"), single components for type 1
 ("Point").  Two tuples give the same vertex iff an invertible affine change
 of the *values* maps one to the other — decided here by affine-span
-membership plus an invertibility check, never by comparing representatives
-syntactically.  Canonical representatives and membership are implemented
-in ``linalg`` (``good_representative``, ``affine_coordinates``): the
-representative is in echelon form, so membership cancels top terms and
-solves no linear system.
+membership alone, never by comparing representatives syntactically.  No
+invertibility check is needed: canonical components have distinct tops and
+no constants, so they are independent modulo constants, and a singular
+change of values would send some combination of them to a constant.
+Incidence (a point on a line, a line in a vertex) is the same membership.
+Canonical representatives and membership are implemented in ``linalg``
+(``good_representative``, ``affine_coordinates``): the representative is in
+echelon form, so membership cancels top terms and solves no linear system.
 
 Every stored representative is canonical: constants dropped, components
 sorted by strictly increasing degree, top terms monic, colliding top degrees
@@ -291,46 +294,38 @@ def is_identity(v: Vertex3) -> bool:
 # Affine-orbit equality and incidence
 # ---------------------------------------------------------------------------
 
-def _orbit_equal(a: tuple[Poly, ...], b: tuple[Poly, ...]) -> bool:
-    """Affine-orbit equality of two same-length component tuples."""
-    r = len(a)
-    matrix = []
-    for q in b:
-        coords = affine_coordinates(a, q)
-        if coords is None:
-            return False
-        matrix.append(coords[:r])
-    det = linalg.det2(matrix) if r == 2 else linalg.det3(matrix)
-    return det != 0
+def _contains(a: tuple[Poly, ...], b: tuple[Poly, ...]) -> bool:
+    """True iff every component of b lies in the affine span of a.
+
+    a is canonical, so each membership cancels top terms.  For a canonical
+    b as long as a, this is orbit equality (see the module docstring).
+    """
+    return all(affine_coordinates(a, q) is not None for q in b)
 
 
 def vertex_equal(a: Vertex3, b: Vertex3) -> bool:
     """True iff some affine map sends a's representative to b's."""
-    return _orbit_equal(a.representative, b.representative)
+    return _contains(a.representative, b.representative)
 
 
 def line_equal(a: Line, b: Line) -> bool:
     """Affine-orbit equality for type-2 vertices."""
-    return _orbit_equal(a.representative, b.representative)
+    return _contains(a.representative, b.representative)
 
 
 def point_equal(a: Point, b: Point) -> bool:
     """Affine-orbit equality for type-1 vertices: q = λ·p + μ, λ ≠ 0."""
-    coords = affine_coordinates((a.representative,), b.representative)
-    return coords is not None and coords[0] != 0
+    return _contains((a.representative,), (b.representative,))
 
 
 def line_in_vertex(l: Line, v: Vertex3) -> bool:
     """True iff l is a line of v (its span sits inside v's affine span)."""
-    return all(
-        affine_coordinates(v.representative, q) is not None
-        for q in l.representative
-    )
+    return _contains(v.representative, l.representative)
 
 
 def point_in_line(p: Point, l: Line) -> bool:
     """True iff p is a point of l."""
-    return affine_coordinates(l.representative, p.representative) is not None
+    return _contains(l.representative, (p.representative,))
 
 
 def lines_of(v: Vertex3) -> tuple[Line, Line, Line]:
@@ -411,16 +406,16 @@ def outer_resonance(l: Line, v: Vertex3) -> bool:
 # ---------------------------------------------------------------------------
 
 def complete_to_vertex(v: Vertex3, l: Line) -> Poly:
-    """A canonical component of v completing the line l to v.
+    """The canonical component of v completing the line l to v.
 
-    Returns the first canonical component of v outside l's affine span.
+    Every element of l's span has one of l's two tops, and those are two of
+    v's three: the component of v with the third top is the one outside l,
+    and every component of v before it lies in l.
     """
     if not line_in_vertex(l, v):
         raise NotIncident("the line is not a line of the vertex")
-    for g in v.representative:
-        if affine_coordinates(l.representative, g) is None:
-            return g
-    raise DegenerateTuple("line already spans the vertex")  # pragma: no cover
+    tops = [poly.deg(q) for q in l.representative]
+    return next(g for g in v.representative if poly.deg(g) not in tops)
 
 
 def neighbor(v: Vertex3, center: Line, p: BiPoly) -> Vertex3:

@@ -8,7 +8,10 @@ forms and top components, word factors read off their fields, ranks read
 off nonzero minors, and good representatives by sorting and cancelling
 colliding neighbours.  None of it goes through the packed multiplication
 kernel, the library's Horner loop, its top component, the factors' own
-methods or the library's elimination.
+methods or the library's elimination, except the two references kept from
+deleted library code: orbit equality by a determinant and completion by the
+first component outside a line.  They read affine coordinates through
+``linalg.affine_coordinates``, which is checked against ``rank`` itself.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from tame3 import poly
+from tame3 import linalg, poly
 from tame3.analysis import BiPoly, PolyInY
 from tame3.errors import DegenerateTuple
 from tame3.poly import Poly
@@ -249,3 +252,23 @@ def sort_and_collide(components: tuple[Poly, ...]) -> tuple[Poly, ...]:
         if not q:
             raise DegenerateTuple("components are linearly dependent with constants")
         work[k] = (q, ib)
+
+
+def determinant_orbit_equal(a: tuple[Poly, ...], b: tuple[Poly, ...]) -> bool:
+    """Affine-orbit equality of same-length tuples, a canonical: every
+    component of b has affine coordinates over a, and the matrix of their
+    linear parts has a nonzero determinant."""
+    matrix = []
+    for q in b:
+        coords = linalg.affine_coordinates(a, q)
+        if coords is None:
+            return False
+        matrix.append(coords[: len(a)])
+    return det(matrix) != 0
+
+
+def first_outside_completion(
+    v: tuple[Poly, Poly, Poly], l: tuple[Poly, Poly]
+) -> Poly:
+    """The first canonical component of v outside the affine span of l."""
+    return next(g for g in v if linalg.affine_coordinates(l, g) is None)

@@ -175,6 +175,23 @@ def test_path_json_reads_degrees_without_building_the_vertex_again(
     assert capsys.readouterr().out == expected
 
 
+def test_deg_reads_degrees_without_building_the_vertex_again(
+    write, capsys, monkeypatch
+):
+    # loading checked the Jacobian; the degrees are read off the good
+    # representative, with no df1∧df2∧df3
+    path = write("nagata.auto", NAGATA_SOURCE)
+    assert cli.main(["deg", path]) == 0
+    expected = capsys.readouterr().out
+
+    def built(components):
+        raise AssertionError("vertex3 was called")
+
+    monkeypatch.setattr(cli, "vertex3", built)
+    assert cli.main(["deg", path]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_closed_output_pipe_exits_0_quietly(write):
     # `tame3 path --json F | head -1`: the reader can be gone before the
     # child writes.  Closing the read end before the child starts makes the

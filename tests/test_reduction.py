@@ -38,6 +38,7 @@ from tame3.vertices import (
     Automorphism,
     TameWord,
     automorphism,
+    complete_to_vertex,
     eval_word,
     identity_vertex,
     line,
@@ -445,6 +446,23 @@ def test_reduce_once_stops_at_the_first_line_with_a_move(monkeypatch):
     assert isinstance(step, ReductionStep)
     assert len(calls) == 1
     assert line_equal(step.center, lines_of(v)[0])
+
+
+def test_reduce_once_builds_each_completion_once(monkeypatch):
+    # lines_of(v) leaves out g3, g2, g1 in turn, so the step's completion is
+    # known by index; only the search itself looks it up
+    v = vertex3(_criterion_6_map(3).components)
+    assert elementary_search(v, lines_of(v)[0]) is not None
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return complete_to_vertex(*args)
+
+    monkeypatch.setattr(reduction, "complete_to_vertex", counted)
+    step = reduce_once(v)
+    assert isinstance(step, ReductionStep) and step.kind != KIND_ELEMENTARY_K
+    assert len(calls) == 1
 
 
 def test_an_elementary_k_move_excludes_every_other_center():

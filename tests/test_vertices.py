@@ -258,6 +258,69 @@ def test_point_and_line_equality():
     assert not vertices.line_equal(a, vertices.line((X1, X3)))
 
 
+def _vertex(comps):
+    """The type-r vertex spanned by r components, r = 1, 2, 3."""
+    if len(comps) == 1:
+        return vertices.point(comps[0])
+    return vertices.line(comps) if len(comps) == 2 else vertices.vertex3(comps)
+
+
+def _rep(x):
+    return (x.representative,) if isinstance(x, vertices.Point) else x.representative
+
+
+_EQUAL = {1: vertices.point_equal, 2: vertices.line_equal, 3: vertices.vertex_equal}
+
+
+def _combination(row, shift, comps):
+    out = poly.const(shift)
+    for m, g in zip(row, comps):
+        out = poly.add(out, poly.scale(m, g))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda r: st.tuples(
+            st.lists(polys, min_size=r, max_size=r),
+            st.lists(
+                st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                min_size=r,
+                max_size=r,
+            ),
+            st.lists(small, min_size=r, max_size=r),
+            st.lists(polys, min_size=r, max_size=r),
+        )
+    )
+)
+def test_orbit_equality_matches_the_determinant_reference(case):
+    # canonical tuples and their images under affine changes of values,
+    # invertible or singular, with shifted constants; and unrelated tuples
+    raw, matrix, shift, other = case
+    equal = _EQUAL[len(raw)]
+    try:
+        a = _vertex(tuple(raw))
+    except (DegenerateTuple, DependentInputs):
+        assume(False)
+    image = tuple(_combination(row, s, _rep(a)) for row, s in zip(matrix, shift))
+    invertible = oracles.det(matrix) != 0
+    assert oracles.determinant_orbit_equal(_rep(a), image) == invertible
+    try:
+        b = _vertex(image)
+    except DegenerateTuple:
+        # a singular change leaves no canonical tuple to compare
+        assert not invertible
+    else:
+        assert invertible
+        assert equal(a, b) and equal(b, a)
+    try:
+        c = _vertex(tuple(other))
+    except (DegenerateTuple, DependentInputs):
+        return
+    assert equal(a, c) == oracles.determinant_orbit_equal(_rep(a), _rep(c))
+
+
 def test_incidence():
     v = vertices.identity_vertex()
     l = vertices.line((X2, X3))
@@ -352,6 +415,31 @@ def test_complete_to_vertex():
     assert vertices.complete_to_vertex(v, l) == X1
     with pytest.raises(NotIncident):
         vertices.complete_to_vertex(v, vertices.line((X1, P((1, 0, 2, 0)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        words(3).map(vertices.eval_word), st.sampled_from([CUBIC, QUINTIC, NAGATA])
+    ),
+    st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=2, max_size=2),
+    st.lists(small, min_size=2, max_size=2),
+    st.sampled_from([None, 0, 1, 2]),
+)
+def test_complete_to_vertex_matches_the_first_outside_loop(f, matrix, shift, drop):
+    # any line of v, not only the canonical triangle: a 2-dimensional span
+    # of affine combinations of v's components, leaving out the component
+    # `drop` to make each one the completion in turn
+    v = vertices.vertex3(f.components)
+    if drop is not None:
+        matrix = [[0 if k == drop else m for k, m in enumerate(row)] for row in matrix]
+    comps = tuple(_combination(row, s, v.representative) for row, s in zip(matrix, shift))
+    try:
+        l = vertices.line(comps)
+    except DegenerateTuple:
+        assume(False)
+    expected = oracles.first_outside_completion(v.representative, l.representative)
+    assert vertices.complete_to_vertex(v, l) == expected
 
 
 def test_neighbor_round_trip():
