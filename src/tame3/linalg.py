@@ -2,9 +2,10 @@
 
 Vectors are sparse mappings from an orderable row key to Fraction; a
 vector's top is its largest row.  ``_reduce`` cancels tops against pivots
-with distinct tops, and it is the only elimination here: good
+with distinct tops, and it is the only elimination in the package: good
 representatives (echelon form: no constants, distinct monic top terms),
-affine coordinates over them, and the searches' solves and nullspaces.
+affine coordinates over them, the searches' solves and nullspaces, and
+``reduction.simple_search``'s strip against the pivot's powers.
 Exponent-triple rows are ordered graded-lex, so a canonical column is
 already echelon and becomes a pivot with no arithmetic.
 """

@@ -4,7 +4,9 @@ Everything above this module answers local questions (degrees, wedges,
 resonance, single vertices); this one strings those answers into moves.  A
 move replaces the component completing a center line by that component plus
 a polynomial in the two center components, chosen by exact linear
-cancellation so that the vertex degree drops.  Moves are classified by the
+cancellation so that the vertex degree drops; every power of a center or
+pivot component comes from one products table, ``_Products``, which builds
+each power by one multiplication from the last.  Moves are classified by the
 shape of their correction and by the resonance data of their center
 (elementary, simple, elementary K, proper K); chains of moves form reduction
 paths down to the identity vertex.  When the degree arithmetic alone
@@ -270,6 +272,33 @@ def _common_point(a: Line, b: Line) -> Point | None:
 # Elementary search
 # ---------------------------------------------------------------------------
 
+class _Products:
+    """The products hiⁱ·loʲ of two center components, built on request.
+
+    Each power of hi and of lo is one multiplication by the power before it.
+    A product with both exponents positive is one multiplication of two
+    powers, kept for the next request of the same pair.
+    """
+
+    def __init__(self, hi: Poly, lo: Poly):
+        self._bases = (hi, lo)
+        self._powers: tuple[list[Poly], list[Poly]] = ([poly.const(1)], [poly.const(1)])
+        self._mixed: dict[tuple[int, int], Poly] = {}
+
+    def _power(self, side: int, n: int) -> Poly:
+        powers = self._powers[side]
+        while len(powers) <= n:
+            powers.append(poly.mul(powers[-1], self._bases[side]))
+        return powers[n]
+
+    def __call__(self, i: int, j: int) -> Poly:
+        if not (i and j):
+            return self._power(1, j) if j else self._power(0, i)
+        if (i, j) not in self._mixed:
+            self._mixed[(i, j)] = poly.mul(self._power(0, i), self._power(1, j))
+        return self._mixed[(i, j)]
+
+
 def _stage_bound(
     budget: SearchBudget,
     target: MultiDegree,
@@ -336,13 +365,7 @@ def elementary_search(
     lo, hi = center.representative
     d_lo, d_hi = poly.deg(lo), poly.deg(hi)
     d_line = line_attributes(center).d
-    products: dict[tuple[int, int], Poly] = {}
-
-    def product(i: int, j: int) -> Poly:
-        if (i, j) not in products:
-            products[(i, j)] = poly.mul(poly.p_pow(hi, i), poly.p_pow(lo, j))
-        return products[(i, j)]
-
+    product = _Products(hi, lo)
     total: BiPoly = {}
     optimal = False
     while True:
@@ -423,9 +446,9 @@ def _step_kind(center: Line, h: Poly, p: BiPoly) -> tuple[str, Point]:
 def simple_search(v: Vertex3, center: Line, pivot: Point) -> ReductionStep | None:
     """A simple move: cancel the completion by powers of the pivot component.
 
-    Greedily strips top terms of the completing component with powers of the
-    pivot; when the residue's degree collides with the other center
-    component, a single linear fix in that component takes precedence (the
+    Strips top terms of the completing component against the powers of the
+    pivot and the other center component; when the residue's degree is the
+    other component's, the linear fix in that component takes precedence (the
     only way the linear coefficient can become nonzero — a component
     carrying the vertex's top degree can never be reached from below, so its
     coefficient stays zero exactly when it must, and conversely the fix is
@@ -440,42 +463,23 @@ def simple_search(v: Vertex3, center: Line, pivot: Point) -> ReductionStep | Non
         raise NotIncident("the pivot is not a point of the center line")
     other = hi if not coords[1] else lo
     d_q, d_other = poly.deg(q), poly.deg(other)
-    target = dict(h)
-    powers: dict[int, Fraction] = {}
-    a = Fraction(0)
-    while target:
-        d_t = poly.deg(target)
-        if d_t == d_other and not a:
-            a = -poly.top_term(target).coefficient / poly.top_term(other).coefficient
-            target = poly.add(target, poly.scale(a, other))
-            continue
-        k = analysis.nat_multiple(d_q, d_t)
-        if k is not None and k >= 1:
-            qk = poly.p_pow(q, k)
-            c = -poly.top_term(target).coefficient / poly.top_term(qk).coefficient
-            powers[k] = powers.get(k, Fraction(0)) + c
-            target = poly.add(target, poly.scale(c, qk))
-            continue
-        break
-    qpart = {k: c for k, c in powers.items() if c}
+    powers = _Products(q, other)
+    kmax = sum(poly.deg(h)) // sum(d_q)
+    pivots = {poly.mdeg_scale(k, d_q): powers(k, 0) for k in range(1, kmax + 1)}
+    pivots[d_other] = other  # set last: the linear fix wins a shared top
+    target, taken = linalg._reduce(pivots, h, poly.grlex_key)
+    a = -taken.pop(d_other, 0)
+    qpart = {sum(t) // sum(d_q): -c for t, c in taken.items()}
     if not any(k >= 2 for k in qpart):
         return None
     partial = poly.sub(target, poly.scale(a, other))  # h + Q(q)
     d_h = poly.deg(h)
     if not (poly.mdeg_lt(poly.deg(partial), d_h) and poly.mdeg_lt(poly.deg(target), d_h)):
         return None
-    # Expand Q(q) + a·other over (y, z) = (hi, lo) through the pivot's
-    # coordinates, using a scratch polynomial in two slots.
-    base: Poly = {}
-    if coords[1]:
-        base[(1, 0, 0)] = coords[1]
-    if coords[0]:
-        base[(0, 1, 0)] = coords[0]
-    if coords[2]:
-        base[(0, 0, 0)] = coords[2]
-    scratch: Poly = {}
-    for k, c in qpart.items():
-        scratch = poly.add(scratch, poly.scale(c, poly.p_pow(base, k)))
+    # Expand Q(q) + a·other over (y, z) = (hi, lo): Q is substituted into the
+    # pivot's coordinates, written in the first two slots of a scratch Poly.
+    base = {e: c for e, c in zip(((0, 1, 0), (1, 0, 0), _CONST), coords) if c}
+    scratch = poly.substitute({(k, 0, 0): c for k, c in qpart.items()}, (base, {}, {}))
     if a:
         scratch = poly.add(scratch, {(1, 0, 0) if other is hi else (0, 1, 0): a})
     data: BiPoly = {(e[0], e[1]): c for e, c in scratch.items() if e != _CONST}
@@ -543,20 +547,13 @@ def _weak_simple_relation(w: Vertex3, v: Vertex3, center: Line, pivot: Point) ->
     kmax = max(sum(poly.deg(g)), sum(poly.deg(f))) // sum(poly.deg(q))
     if kmax < 2:
         return False
-    cols = [dict(g)]
-    cols.extend(dict(poly.p_pow(q, k)) for k in range(1, kmax + 1))
-    cols.append(dict(other))
-    cols.append({_CONST: _F1})
+    powers = _Products(q, other)
+    cols = [g, *(powers(k, 0) for k in range(1, kmax + 1)), other]
     sol = linalg.solve_exact(cols, f)
-    if sol is None or not sol[0]:
+    if sol is None or not sol[0] or not any(sol[2 : kmax + 1]):
         return False
-    qcoeffs = {k: sol[k] / sol[0] for k in range(1, kmax + 1) if sol[k]}
-    if not any(k >= 2 for k in qcoeffs):
-        return False
-    partial = g
-    for k, c in qcoeffs.items():
-        partial = poly.add(partial, poly.scale(c, poly.p_pow(q, k)))
-    full = poly.add(partial, poly.scale(sol[kmax + 1] / sol[0], other))
+    full = poly.scale(1 / sol[0], f)  # g + Q(q) + c·other
+    partial = poly.sub(full, poly.scale(sol[kmax + 1] / sol[0], other))
     d_g = poly.deg(g)
     return poly.mdeg_ge(d_g, poly.deg(partial)) and poly.mdeg_ge(d_g, poly.deg(full))
 
@@ -823,12 +820,11 @@ def _product_ceiling(
     pairs: Iterable[tuple[int, int]], d_hi: MultiDegree, d_lo: MultiDegree
 ) -> MultiDegree | None:
     """Largest degree of the products hi^i·lo^j over the given exponent pairs."""
-    top: MultiDegree | None = None
-    for i, j in pairs:
-        prod = tuple(i * a + j * b for a, b in zip(d_hi, d_lo))
-        if top is None or poly.mdeg_lt(top, prod):
-            top = prod
-    return top
+    return max(
+        (tuple(i * a + j * b for a, b in zip(d_hi, d_lo)) for i, j in pairs),
+        key=poly.grlex_key,
+        default=None,
+    )
 
 
 def _connecting_bipoly(
@@ -849,8 +845,8 @@ def _connecting_bipoly(
     floor = poly.mdeg_max(poly.mdeg_max(poly.deg(ts), poly.deg(tu)), d_hi)
     bound = floor if bound is None else poly.mdeg_max(bound, floor)
     cands = _stage_candidates(_CONST, bound, d_hi, d_lo)
-    cols = [dict(tu)]
-    cols.extend(dict(poly.mul(poly.p_pow(hi, i), poly.p_pow(lo, j))) for i, j in cands)
+    product = _Products(hi, lo)
+    cols = [tu, *(product(i, j) for i, j in cands)]
     sol = linalg.solve_exact(cols, ts)
     if sol is None or not sol[0]:
         return None

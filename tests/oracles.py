@@ -8,9 +8,10 @@ forms and top components, word factors read off their fields, ranks read
 off nonzero minors, and good representatives by sorting and cancelling
 colliding neighbours.  None of it goes through the packed multiplication
 kernel, the library's Horner loop, its top component, the factors' own
-methods or the library's elimination, except the two references kept from
-deleted library code: orbit equality by a determinant and completion by the
-first component outside a line.  They read affine coordinates through
+methods or the library's elimination, except the three references kept
+from deleted library code: orbit equality by a determinant, completion by
+the first component outside a line, and the simple-move search by greedy
+top-term stripping.  They read affine coordinates through
 ``linalg.affine_coordinates``, which is checked against ``rank`` itself.
 """
 
@@ -272,3 +273,52 @@ def first_outside_completion(
 ) -> Poly:
     """The first canonical component of v outside the affine span of l."""
     return next(g for g in v if linalg.affine_coordinates(l, g) is None)
+
+
+def greedy_simple_strip(
+    h: Poly, lo: Poly, hi: Poly, q: Poly
+) -> tuple[BiPoly, Poly] | None:
+    """The simple-move search by greedy stripping, over a canonical center.
+
+    Strips the top of the residue of h by the other center component once,
+    when their degrees agree, and otherwise by the power of the pivot q
+    whose degree it is, until neither applies.  Returns (data, residue):
+    data is Q(q) + a·other expanded over (y, z) = (hi, lo) through q's
+    coordinates, and residue = h + Q(q) + a·other.  None when Q has no
+    power of degree 2 or more, or when h + Q(q) or the residue fails to drop
+    below h.
+    """
+    lo_c, hi_c, const = linalg.affine_coordinates((lo, hi), q)
+    other = hi if not hi_c else lo
+    d_q, d_other = poly.deg(q), poly.deg(other)
+    target = dict(h)
+    powers: dict[int, Fraction] = {}
+    a = Fraction(0)
+    while target:
+        d_t = poly.deg(target)
+        if d_t == d_other and not a:
+            a = -poly.top_term(target).coefficient / poly.top_term(other).coefficient
+            target = poly.add(target, poly.scale(a, other))
+            continue
+        k = sum(d_t) // sum(d_q)
+        if k >= 1 and tuple(k * e for e in d_q) == d_t:
+            qk = naive_pow(q, k)
+            c = -poly.top_term(target).coefficient / poly.top_term(qk).coefficient
+            powers[k] = powers.get(k, Fraction(0)) + c
+            target = poly.add(target, poly.scale(c, qk))
+            continue
+        break
+    if not any(k >= 2 and c for k, c in powers.items()):
+        return None
+    partial = poly.sub(target, poly.scale(a, other))
+    d_h = poly.deg(h)
+    if not (poly.mdeg_lt(poly.deg(partial), d_h) and poly.mdeg_lt(poly.deg(target), d_h)):
+        return None
+    base = {e: c for e, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 0)), (hi_c, lo_c, const)) if c}
+    scratch: Poly = {}
+    for k, c in powers.items():
+        scratch = poly.add(scratch, poly.scale(c, naive_pow(base, k)))
+    if a:
+        scratch = poly.add(scratch, {(1, 0, 0) if other is hi else (0, 1, 0): a})
+    data = {(e[0], e[1]): c for e, c in scratch.items() if e != (0, 0, 0)}
+    return data, target

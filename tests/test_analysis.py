@@ -232,7 +232,7 @@ def test_parachute_input_validation():
         analysis.parachute_check([X1, X2, poly.add(X1, X2)], {1: ONE})
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(polys, polys, bipolys, st.integers(0, 2), coeffs, st.integers(0, 2))
 def test_parachute_agrees_with_multiplicity_and_evaluation(h, f2, bi, k, c, e):
     # f1 = h + c·f2^k, and φ carries (y − c·f2^k)^e on top of a factor in

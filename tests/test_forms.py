@@ -215,7 +215,7 @@ def test_degree_of_differential_equals_degree(p):
     assert forms.deg_form(forms.differential(p)) == poly.deg(p)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(one_forms, one_forms)
 def test_wedge_degree_is_subadditive(a, b):
     da, db = forms.deg_form(a), forms.deg_form(b)

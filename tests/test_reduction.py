@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tame3 import analysis, poly, reduction
 from tame3.errors import (
@@ -67,6 +69,7 @@ from fixtures import (
     cubic_vertices,
     quintic_vertices,
 )
+from oracles import greedy_simple_strip
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +176,80 @@ def test_simple_search_none_without_cancellation():
     flat = vertex3((X1, X2, poly.add(X3, P((1, 0, 2, 0)))))
     center = line((X1, poly.add(X3, P((1, 0, 2, 0)))))
     assert simple_search(flat, center, point(X1)) is None
+
+
+small = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+nonzero = small.filter(bool)
+
+
+# the center (x2 + r·x3^m, x3); with m ≥ 2 its higher component has degree
+# m·deg x3, so the pivot lo meets the collision with the other component
+@settings(max_examples=150, deadline=None)
+@example(m=2, r=F(1), side="lo", beta=F(1), powers={3: F(1), 1: F(2)}, a=F(-1), noise={})
+@given(
+    m=st.integers(1, 3),
+    r=nonzero,
+    side=st.sampled_from(("lo", "hi", "hi + β·lo")),
+    beta=nonzero,
+    powers=st.dictionaries(st.integers(1, 4), nonzero, max_size=3),
+    a=small,
+    noise=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), nonzero, max_size=3),
+)
+def test_simple_search_matches_the_greedy_strip(m, r, side, beta, powers, a, noise):
+    center = line((poly.add(X2, P((r, 0, 0, m))), X3))
+    lo, hi = center.representative
+    pivot = point({"lo": lo, "hi": hi, "hi + β·lo": poly.add(hi, poly.scale(beta, lo))}[side])
+    q = pivot.representative
+    other = hi if side == "lo" else lo
+    h = poly.add(X1, poly.scale(a, other))
+    for k, c in powers.items():
+        h = poly.add(h, poly.scale(c, poly.p_pow(q, k)))
+    h = poly.add(h, {(0, i, j): c for (i, j), c in noise.items()})
+    v = vertex3((h, hi, lo))
+    step = simple_search(v, center, pivot)
+    expected = greedy_simple_strip(complete_to_vertex(v, center), lo, hi, q)
+    if expected is None:
+        assert step is None
+        return
+    data, residue = expected
+    assert step is not None
+    assert step.data == data
+    assert vertex_equal(step.target, vertex3((lo, hi, residue)))
+
+
+def test_center_powers_come_from_the_products_table(monkeypatch, quintic_pair):
+    v = vertex3(_criterion_6_map(3).components)
+    lines = lines_of(v)
+    v5, u5 = quintic_pair
+    f5_1, f5_2, f5_3 = QUINTIC.components
+    v5p = vertex3((poly.add(f5_1, poly.mul(f5_2, f5_2)), f5_2, f5_3))
+    m2 = classify_proper_K(v5p, v5, u5).aux_center
+    calls = []
+    p_pow = poly.p_pow
+    monkeypatch.setattr(poly, "p_pow", lambda p, n: calls.append(n) or p_pow(p, n))
+    assert [elementary_search(v, l) is not None for l in lines] == [True, True, False]
+    assert _connecting_bipoly(v5, m2, v5p) is not None
+    assert calls == []
+
+
+def test_products_table_builds_each_power_once(monkeypatch):
+    hi, lo = P((1, 0, 1, 0), (F(1, 2), 0, 0, 2)), P((1, 0, 0, 1), (-3, 1, 0, 0))
+    table = reduction._Products(hi, lo)
+    muls = []
+    mul = poly.mul
+    monkeypatch.setattr(poly, "mul", lambda a, b: muls.append(1) or mul(a, b))
+    for i in (3, 1, 5, 2, 5):
+        table(i, 0)
+    assert len(muls) == 5  # hi⁵ by five multiplications, each power once
+    table(0, 4)
+    assert len(muls) == 9
+    table(2, 3)
+    table(2, 3)
+    assert len(muls) == 10  # two powers already built, multiplied once
+    monkeypatch.undo()
+    for i in range(4):
+        for j in range(4):
+            assert table(i, j) == poly.mul(poly.p_pow(hi, i), poly.p_pow(lo, j))
 
 
 # -- the cubic word: s = 3 ----------------------------------------------------
