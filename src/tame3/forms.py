@@ -15,6 +15,16 @@ Key facts the tests pin down (characteristic zero):
   deg (g·ω) = deg g + deg ω;
   f1, f2, f3 are algebraically independent iff df1∧df2∧df3 ≠ 0.
 
+``independent`` tries a one-sided residue before any wedge.  It evaluates
+the r×r minors of the Jacobian of (f1, …, fr) term by term at one fixed point
+modulo the prime 2⁶¹ − 1, from per-variable power tables, building no
+polynomial.  When every coefficient is p-integral (no denominator divisible
+by the prime), reduction mod p and evaluation are ring maps, so a nonzero
+minor at the point proves a nonzero minor, hence df1∧⋯∧dfr ≠ 0.  A zero
+residue proves nothing: it falls back to the exact ``wedge_degree``.  The
+residue cannot show that a Jacobian is constant, so ``vertices.automorphism``
+keeps its exact degree check.
+
 ``wedge_degree`` reads deg df1∧⋯∧dfr off two exact facts before building
 any wedge:
   an affine change of (f1, …, fr) scales df1∧⋯∧dfr by its nonzero
@@ -63,6 +73,12 @@ from tame3.poly import MultiDegree, Poly
 _ONE_BASIS_DEG = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _TWO_BASIS_DEG = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 _THREE_BASIS_DEG = (1, 1, 1)
+
+# The residue field and point of ``independent``'s one-sided fast path:
+# fixed, so every verdict and every output is deterministic.
+_P = (1 << 61) - 1
+_POINT = (1_234_567_891_011, 987_654_321_123, 555_555_555_557)
+_INV_POINT = tuple(pow(x, -1, _P) for x in _POINT)
 
 
 @dataclass(frozen=True)
@@ -226,10 +242,63 @@ def wedge_degree(*fs: Poly) -> MultiDegree | None:
     return poly.mdeg_add(poly._packed_deg(top), _THREE_BASIS_DEG)
 
 
+def _jacobian_residue(fs: tuple[Poly, ...]) -> list[list[int]] | None:
+    """The Jacobian rows (∂f/∂x1, ∂f/∂x2, ∂f/∂x3) at _POINT mod _P.
+
+    Term by term: ∂f/∂x_s(pt) = Σ e_s·c·pt^e / pt_s, from per-variable
+    power tables.  None when a coefficient's denominator is ≡ 0 mod _P.
+    """
+    powers: list[dict[int, int]] = [{}, {}, {}]
+    inverses: dict[int, int] = {1: 1}
+    rows = []
+    for f in fs:
+        d1 = d2 = d3 = 0
+        for (a, b, c), q in f.items():
+            den = q.denominator
+            inv = inverses.get(den)
+            if inv is None:
+                if den % _P == 0:
+                    return None
+                inv = inverses[den] = pow(den, -1, _P)
+            t = q.numerator * inv
+            for x, k, table in zip(_POINT, (a, b, c), powers):
+                if k:
+                    xk = table.get(k)
+                    if xk is None:
+                        xk = table[k] = pow(x, k, _P)
+                    t = t * xk % _P
+            d1 += a * t
+            d2 += b * t
+            d3 += c * t
+        rows.append([d * inv_x % _P for d, inv_x in zip((d1, d2, d3), _INV_POINT)])
+    return rows
+
+
+def _residue_minor_nonzero(fs: tuple[Poly, ...]) -> bool:
+    """True when some r×r Jacobian minor of fs is nonzero at _POINT mod _P."""
+    rows = _jacobian_residue(fs)
+    if rows is None:
+        return False
+    if len(rows) == 1:
+        return any(rows[0])
+    if len(rows) == 2:
+        (a1, a2, a3), (b1, b2, b3) = rows
+        minors = (a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+        return any(m % _P for m in minors)
+    return linalg.det3(rows) % _P != 0
+
+
 def independent(*fs: Poly) -> bool:
     """Algebraic independence of 1–3 polynomials via wedge nonvanishing.
 
     In characteristic zero, f1, …, fr are algebraically independent iff
-    df1 ∧ ⋯ ∧ dfr ≠ 0.
+    df1 ∧ ⋯ ∧ dfr ≠ 0, i.e. iff some r×r minor of their Jacobian is a
+    nonzero polynomial.  With p-integral coefficients, a minor that is
+    nonzero at _POINT mod _P = 2⁶¹ − 1 is a nonzero minor, so such a residue
+    returns True.  A zero residue (the minor may vanish at the point only),
+    a denominator ≡ 0 mod _P and any length other than 1–3 fall back to the
+    exact ``wedge_degree(*fs) is not None``.
     """
+    if 1 <= len(fs) <= 3 and _residue_minor_nonzero(fs):
+        return True
     return wedge_degree(*fs) is not None

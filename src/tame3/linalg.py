@@ -158,8 +158,13 @@ def affine_coordinates(
     basis is in echelon form, as every canonical representative is: no
     constant components and distinct top degrees.  Cancelling top terms
     leaves the constant (the last coordinate) or proves target outside the
-    span.  Distinct top degrees make the coordinates unique.
+    span.  Distinct top degrees make the coordinates unique, so a target
+    equal by value to a basis component is that unit vector, with no
+    reduction.
     """
+    for i, b in enumerate(basis):
+        if target == b:
+            return [_F1 if j == i else _F0 for j in range(len(basis))] + [_F0]
     tops = [poly.deg(b) for b in basis]
     rest, taken = _reduce(dict(zip(tops, basis)), target, poly.grlex_key)
     const = rest.pop(_CONST, _F0)

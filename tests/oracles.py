@@ -3,7 +3,8 @@
 Everything here trades speed for obviousness: direct convolution for
 products, monomial-by-monomial expansion for substitution, term-by-term
 powers for y-polynomials, synthetic division for root orders, derivatives
-evaluated in full for multiplicities, a filter over the support for top
+evaluated in full for multiplicities, evaluation and word application
+modulo 2⁶¹ − 1 term by term, a filter over the support for top
 forms and top components, word factors read off their fields, ranks read
 off nonzero minors, and good representatives by sorting and cancelling
 colliding neighbours.  None of it goes through the packed multiplication
@@ -67,6 +68,32 @@ def evaluate(p: Poly, pt: tuple[Fraction, Fraction, Fraction]) -> Fraction:
     """p at a rational point, term by term."""
     x, y, z = pt
     return sum((c * x**a * y**b * z**d for (a, b, d), c in p.items()), Fraction(0))
+
+
+MOD_P = (1 << 61) - 1
+
+
+def evaluate_mod_p(p: Poly, pt: tuple[int, int, int]) -> int:
+    """p at a point of F_p³, p = 2⁶¹ − 1, term by term.
+
+    Every denominator must be prime to p.  A polynomial identity over ℚ
+    holds mod p at every point, so a mismatch refutes it outright.
+    """
+    x, y, z = pt
+    total = 0
+    for (a, b, d), c in p.items():
+        c = Fraction(c)
+        coeff = c.numerator * pow(c.denominator, -1, MOD_P)
+        total += coeff * pow(x, a, MOD_P) * pow(y, b, MOD_P) * pow(z, d, MOD_P)
+    return total % MOD_P
+
+
+def apply_word_mod_p(factors, pt: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(w1 ∘ ⋯ ∘ wn)(pt) mod p: the rightmost factor first, each one through
+    the components read off its fields."""
+    for factor in reversed(factors):
+        pt = tuple(evaluate_mod_p(c, pt) for c in factor_components(factor))
+    return pt
 
 
 def factor_components(factor) -> tuple[Poly, Poly, Poly]:

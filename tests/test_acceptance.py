@@ -43,6 +43,7 @@ from tame3.vertices import (
 )
 from tame3.wordgen import GeneratorSpec, gen_tame
 
+import oracles
 from fixtures import CUBIC, NAGATA, NAGATA_SOURCE, QUINTIC, cubic_vertices, quintic_vertices
 from oracles import derivative_multiplicity, root_order, top_form, y_mul
 
@@ -160,6 +161,13 @@ def test_criterion_5_random_word_property_sweep():
         w = gen_tame(GeneratorSpec(seed=seed, length=seed % 8 + 1, coeff_bound=3))
         f = eval_word(w)
         assert analysis.two_maxima_check(f).ok
+        # the evaluated components against the declared word, mod 2⁶¹ − 1
+        pts = random.Random(f"mod p {seed}")
+        for _ in range(2):
+            pt = tuple(pts.randrange(1, oracles.MOD_P) for _ in range(3))
+            assert tuple(
+                oracles.evaluate_mod_p(c, pt) for c in f.components
+            ) == oracles.apply_word_mod_p(w.factors, pt), f"seed {seed}"
 
         diffs = [forms.differential(c) for c in f.components]
         for c, dc in zip(f.components, diffs):

@@ -1,5 +1,7 @@
 """The command-line surface: outputs, exit codes, JSON schema, budgets."""
 
+import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -308,3 +310,50 @@ def test_usage_errors_exit_1(capsys):
 def test_help_exits_0(capsys):
     assert cli.main(["--help"]) == 0
     assert "deg" in capsys.readouterr().out
+
+
+# -- regression guard ---------------------------------------------------------
+
+# SHA-256 of the runs below, frozen from the code before independence gained
+# its residue fast path.  A regression guard, not an oracle: when a change
+# means to alter output, re-derive it and say why.
+CLI_OUTPUT_DIGEST = "ebf55dbdbb38e43c068d084dcb26630a4e6470e5cdf145e67febcacf66e23942"
+
+
+def test_cli_output_digest(tmp_path, capsys, monkeypatch):
+    """Exit code, stdout and stderr of the reduction and degree commands on
+    the golden fixtures and six generated words stay byte-identical."""
+    from fixtures import CUBIC, QUINTIC
+    from tame3.parsing import format_automorphism
+
+    monkeypatch.chdir(tmp_path)  # relative names keep messages path-free
+    # parse each file once: parsing dominates a load, and every command
+    # below would otherwise repeat it on the same bytes
+    monkeypatch.setattr(cli, "_load", functools.lru_cache(maxsize=None)(cli._load))
+    names = []
+    for name, text in (
+        ("cubic", format_automorphism(CUBIC)),
+        ("quintic", format_automorphism(QUINTIC)),
+        ("nagata", NAGATA_SOURCE),
+    ):
+        Path(f"{name}.auto").write_text(text, encoding="utf-8")
+        names.append(f"{name}.auto")
+    for seed in range(6):
+        assert cli.main(["gen", "--seed", str(seed), "--len", "8"]) == 0
+        Path(f"gen{seed}.auto").write_text(capsys.readouterr().out, encoding="utf-8")
+        names.append(f"gen{seed}.auto")
+    digest = hashlib.sha256()
+    for i, name in enumerate(names):
+        other = names[(i + 1) % len(names)]
+        for argv in (
+            ["path", name, "--json"],
+            ["reduce", name],
+            ["deg", name],
+            ["certify-nontame", name],
+            ["vertex-eq", name, other],
+        ):
+            code = cli.main(argv)
+            out = capsys.readouterr()
+            for part in (" ".join(argv), str(code), out.out, out.err):
+                digest.update(part.encode() + b"\0")
+    assert digest.hexdigest() == CLI_OUTPUT_DIGEST

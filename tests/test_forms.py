@@ -303,6 +303,72 @@ def test_independence_arity_is_checked():
         forms.independent(X1, X1, X2, X3)
 
 
+# -- the residue fast path and its exact fallback ------------------------------
+
+
+def _exact(*fs):
+    return forms.wedge_degree(*fs) is not None
+
+
+def test_a_jacobian_vanishing_at_the_residue_point_falls_back():
+    # Jacobian x1 − a: nonzero, but zero at the fixed point
+    a = forms._POINT[0]
+    fs = (X1, X2, poly.mul(X3, poly.add(X1, poly.const(-a))))
+    assert not forms._residue_minor_nonzero(fs)
+    assert forms.independent(*fs) and _exact(*fs)
+
+
+def test_a_denominator_divisible_by_the_prime_falls_back():
+    inv_p = F(1, forms._P)
+    for fs in (
+        (poly.add(X1, P((inv_p, 0, 1, 0))), X2, X3),  # independent
+        (P((inv_p, 1, 0, 0)), poly.mul(X1, X1), X3),  # dependent
+    ):
+        assert forms._jacobian_residue(fs) is None
+        assert forms.independent(*fs) == _exact(*fs)
+    assert forms.independent(poly.add(X1, P((inv_p, 0, 1, 0))), X2, X3)
+
+
+def test_dependent_tuples_reach_the_exact_verdict():
+    s = poly.add(X1, X2)
+    for fs in (
+        (X1, poly.mul(X1, X1), X3),
+        (s, poly.mul(s, s), X3),
+        (X1, poly.p_pow(X1, 3)),
+    ):
+        assert not forms._residue_minor_nonzero(fs)
+        assert not forms.independent(*fs) and not _exact(*fs)
+
+
+def test_a_non_constant_jacobian_is_still_independent():
+    fs = (poly.mul(X1, X1), X2, X3)
+    assert forms._residue_minor_nonzero(fs)
+    assert forms.independent(*fs)
+    assert forms.wedge_degree(*fs) == (2, 1, 1)
+
+
+@st.composite
+def planted_inputs(draw):
+    """1–3 polynomials; a third one is sometimes P(f1, f2) for a drawn P."""
+    fs = draw(wedge_inputs())
+    if len(fs) == 3 and draw(st.booleans()):
+        bipoly = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)),
+                coeffs,
+                max_size=4,
+            )
+        )
+        fs = (fs[0], fs[1], poly.substitute({e: c for e, c in bipoly.items() if c}, fs))
+    return fs
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_inputs())
+def test_independence_is_the_exact_wedge_verdict(fs):
+    assert forms.independent(*fs) == _exact(*fs)
+
+
 def test_automorphism_components_have_unit_jacobian_degree():
     # components of any polynomial automorphism wedge to a nonzero constant
     for f in (NAGATA, CUBIC):

@@ -163,3 +163,33 @@ def test_good_representative_matches_sort_and_collide(comps):
             linalg.good_representative(comps)
         return
     assert linalg.good_representative(comps) == expected
+
+
+# -- affine coordinates by equality --------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(colliding_tuples(), st.data())
+def test_a_basis_component_is_its_own_unit_vector(comps, data):
+    try:
+        basis = linalg.good_representative(comps)
+    except DegenerateTuple:
+        return
+    i = data.draw(st.integers(0, len(basis) - 1))
+    # equal by value, a distinct dict, integral values sometimes as int
+    as_int = data.draw(st.booleans())
+    target = {e: int(c) if as_int and c.denominator == 1 else c for e, c in basis[i].items()}
+    coords = linalg.affine_coordinates(basis, target)
+    assert coords == [F(int(j == i)) for j in range(len(basis))] + [F(0)]
+    rebuilt = poly.const(coords[-1])
+    for c, b in zip(coords, basis):
+        rebuilt = poly.add(rebuilt, poly.scale(c, b))
+    assert rebuilt == target
+    columns = list(basis) + [poly.const(1)]
+    assert oracles.rank(columns + [target]) == oracles.rank(columns)
+    # a monomial in no basis support takes the target out of the span
+    extra = data.draw(st.sampled_from([(0, 0, 2), (1, 0, 1), (0, 1, 1), (3, 0, 0)]))
+    if all(extra not in b for b in basis):
+        outsider = poly.add(target, poly.monomial(extra))
+        assert oracles.rank(columns + [outsider]) > oracles.rank(columns)
+        assert linalg.affine_coordinates(basis, outsider) is None

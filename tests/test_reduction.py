@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tame3 import analysis, poly, reduction
+from tame3 import analysis, forms, linalg, poly, reduction
 from tame3.errors import (
     DependentInputs,
     HypothesesUnmet,
@@ -40,6 +40,7 @@ from tame3.vertices import (
     Automorphism,
     TameWord,
     automorphism,
+    complement_degree,
     complete_to_vertex,
     eval_word,
     identity_vertex,
@@ -540,6 +541,44 @@ def test_reduce_once_builds_each_completion_once(monkeypatch):
     step = reduce_once(v)
     assert isinstance(step, ReductionStep) and step.kind != KIND_ELEMENTARY_K
     assert len(calls) == 1
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name with a call counter; returns the list of calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_vertex3_settles_independence_without_building_a_wedge(monkeypatch):
+    # a nonzero Jacobian residue proves independence: no exact 3-form
+    comps = _criterion_6_map(3).components  # bare: no witness, no flag
+    minors = _counting(monkeypatch, forms, "_minors")
+    tops = _counting(monkeypatch, forms, "_top_coefficient")
+    vertex3(comps)
+    assert minors == [] and tops == []
+
+
+def test_own_lines_and_search_targets_are_incident_by_equality(monkeypatch):
+    # lines_of(v) and an elementary target hold v's and the center's own
+    # components, so membership needs no reduction
+    v = vertex3(_criterion_6_map(3).components)
+    found = [(l, elementary_search(v, l)) for l in lines_of(v)]
+    reductions = _counting(monkeypatch, linalg, "_reduce")
+    for l, _ in found:
+        complete_to_vertex(v, l)
+    assert reductions == []
+    targets = [(l, res[1]) for l, res in found if res is not None]
+    assert targets
+    for l, target in targets:
+        complement_degree(target, l)
+    assert reductions == []
 
 
 def test_an_elementary_k_move_excludes_every_other_center():
