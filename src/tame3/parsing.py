@@ -1,5 +1,21 @@
 """Expression parsing, the automorphism file format, and canonical printing.
 
+Tokens come from one regular expression; at each place the first of these
+matches:
+
+    newline     '\\n', which starts the next line at column 1
+    space       any other str.isspace() character, skipped
+    comment     '#' to the end of the line, skipped
+    number      LITERAL := INT ('/' INT)?, an "int" or a "rational"
+    identifier  a str.isalpha() letter, then letters, digits or '_'
+    operator    one of + - * ^ ( )
+    other       any other character: "unexpected character"
+
+INT is decimal digits as int() reads them (``٣`` is 3; ``²`` and ``½`` are
+other).  ``affine`` entries are a LITERAL with an optional sign.  A literal
+past int()'s digit limit, or with a zero denominator, is an error at its
+first column.  The end of input is one column past the text, comment and all.
+
 Expression grammar, binding tighter downward; ``^`` is right-associative and
 takes non-negative integer exponents only:
 
@@ -9,9 +25,9 @@ takes non-negative integer exponents only:
     power   := atom ('^' exponent)?
     atom    := RATIONAL | INT | VARIABLE | '(' sum ')'
 
-RATIONAL is INT '/' INT recognized in the lexer, so a rational literal binds
-tighter than '*': ``1/2*x1`` is (1/2)·x1.  General division is not in the
-grammar — ``x1/2`` is a syntax error at the slash.
+A rational literal binds tighter than '*': ``1/2*x1`` is (1/2)·x1.  General
+division is not in the grammar — ``x1/2`` is a syntax error at the slash.
+Parentheses nest at most MAX_NESTING deep; the '(' past that is an error.
 
 An automorphism file is UTF-8 text with ``#`` comments: an optional ``word:``
 prologue listing tame factors (``affine`` with twelve rationals, row-major
@@ -22,6 +38,8 @@ declared word must evaluate to the components exactly.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -44,72 +62,54 @@ COMPONENT_VARIABLES: Mapping[str, int] = {"x1": 0, "x2": 1, "x3": 2}
 # polynomial is applied to, x2/x3 for the coefficient components.
 PHI_VARIABLES: Mapping[str, int] = {"y": 0, "x2": 1, "x3": 2}
 
-_OPS = "+-*^()"
+MAX_NESTING = 200  # parenthesis depth; three parser frames per level
+
+_LITERAL = r"(?P<num>\d+)(?:/(?P<den>\d+))?"
+_SIGNED_LITERAL = re.compile(rf"(?P<sign>[+-]?){_LITERAL}")
+_LEXICAL = re.compile(
+    rf"(?P<newline>\n)|(?P<space>\s)|(?P<comment>#.*)|(?P<number>{_LITERAL})"
+    r"|(?P<ident>\w+)|(?P<op>[-+*^()])|(?P<other>.)"
+)
 
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "int" | "rational" | "ident" | one of _OPS | "end"
+    kind: str  # "int" | "rational" | "ident" | one of + - * ^ ( ) | "end"
     value: object
     line: int
     column: int
 
 
+def _literal(m: re.Match, line: int, column: int) -> int | Fraction:
+    """An int, or a Fraction when the LITERAL match has a denominator."""
+    try:
+        num, den = int(m["num"]), int(m["den"] or 1)
+    except ValueError:  # int() refuses digit strings past its limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number literal longer than {limit} digits", line, column) from None
+    if den == 0:
+        raise ParseError("zero denominator in rational literal", line, column)
+    return num if m["den"] is None else Fraction(num, den)
+
+
 def _tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
     """Tokens with 1-based positions; line/column seed embedded sources."""
     out: list[Token] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            column += 1
-            continue
-        if c == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        start_col = column
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            column += j - i
-            i = j
-            if i < len(text) and text[i] == "/" and i + 1 < len(text) and text[i + 1].isdigit():
-                j = i + 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                den = int(text[i + 1 : j])
-                if den == 0:
-                    raise ParseError("zero denominator in rational literal", line, start_col)
-                column += j - i
-                i = j
-                out.append(Token("rational", Fraction(num, den), line, start_col))
-            else:
-                out.append(Token("int", num, line, start_col))
-            continue
-        if c.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("ident", text[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if c in _OPS:
-            out.append(Token(c, c, line, start_col))
-            i += 1
-            column += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    out.append(Token("end", None, line, column))
+    base = -column  # the match at index i sits in column i - base
+    for m in _LEXICAL.finditer(text):
+        kind, col = m.lastgroup, m.start() - base
+        if kind == "newline":
+            line, base = line + 1, m.start()
+        elif kind == "number":
+            kind = "int" if m["den"] is None else "rational"
+            out.append(Token(kind, _literal(m, line, col), line, col))
+        elif kind == "ident" and m[0][0].isalpha():
+            out.append(Token("ident", m[0], line, col))
+        elif kind == "op":
+            out.append(Token(m[0], m[0], line, col))
+        elif kind not in ("space", "comment"):
+            raise ParseError(f"unexpected character {m[0][0]!r}", line, col)
+    out.append(Token("end", None, line, len(text) - base))
     return out
 
 
@@ -119,6 +119,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], variables: Mapping[str, int]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses
         self.variables = variables
 
     def peek(self) -> Token:
@@ -144,45 +145,43 @@ class _Parser:
         return p
 
     def sum(self) -> Poly:
-        p = self.negation()
-        while self.peek().kind in "+-":
-            if self.take().kind == "+":
-                p = poly.add(p, self.negation())
-            else:
-                p = poly.sub(p, self.negation())
-        return p
-
-    def negation(self) -> Poly:
-        if self.peek().kind == "-":
-            self.take()
-            return poly.neg(self.negation())
-        return self.product()
+        # sum and negation: each leading '-' flips the sign of its term
+        p: Poly = {}
+        sign = "+"
+        while True:
+            while self.peek().kind == "-":
+                self.take()
+                sign = "+" if sign == "-" else "-"
+            q = self.product()
+            p = poly.add(p, q) if sign == "+" else poly.sub(p, q)
+            if self.peek().kind not in "+-":
+                return p
+            sign = self.take().kind
 
     def product(self) -> Poly:
-        p = self.power()
+        p = self.power(self.atom())
         while self.peek().kind == "*":
             self.take()
-            p = poly.mul(p, self.power())
+            p = poly.mul(p, self.power(self.atom()))
         return p
 
-    def power(self) -> Poly:
-        p = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            return poly.p_pow(p, self.exponent())
-        return p
+    def power(self, base: Poly) -> Poly:
+        if self.peek().kind != "^":
+            return base
+        self.take()
+        return poly.p_pow(base, self.exponent())
 
     def exponent(self) -> int:
-        tok = self.expect("int")
-        e = tok.value
-        if self.peek().kind == "^":  # right-associative integer tower
+        # a right-associative tower, capped from the top down at each base
+        tower = [self.expect("int")]
+        while self.peek().kind == "^":
             self.take()
-            rest = self.exponent()
-            if rest > 60 or e**min(rest, 60) > MAX_TOTAL_DEGREE:
+            tower.append(self.expect("int"))
+        e = 1
+        for tok in reversed(tower):
+            if e > 60 or tok.value**e > MAX_TOTAL_DEGREE:
                 raise ParseError("exponent exceeds the degree cap", tok.line, tok.column)
-            e = e**rest
-        if e > MAX_TOTAL_DEGREE:
-            raise ParseError("exponent exceeds the degree cap", tok.line, tok.column)
+            e = tok.value**e
         return e
 
     def atom(self) -> Poly:
@@ -200,8 +199,12 @@ class _Parser:
                 )
             return poly.variable(slot + 1)
         if tok.kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"over {MAX_NESTING} nested parentheses", tok.line, tok.column)
             p = self.sum()
             self.expect(")")
+            self.depth -= 1
             return p
         shown = "end of input" if tok.kind == "end" else repr(tok.value)
         raise ParseError(f"expected an expression, found {shown}", tok.line, tok.column)
@@ -253,23 +256,15 @@ def format_poly(p: Poly) -> str:
 # Automorphism files
 # ---------------------------------------------------------------------------
 
-def _strip_comment(raw: str) -> str:
-    cut = raw.find("#")
-    return raw if cut < 0 else raw[:cut]
-
-
 def _parse_affine_line(body: str, line_no: int, offset: int) -> Affine:
-    entries: list[Fraction] = []
-    cursor = 0
-    for field in body.split():
-        at = body.index(field, cursor)
-        cursor = at + len(field)
-        try:
-            entries.append(Fraction(field))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(
-                f"bad rational {field!r} in affine factor", line_no, offset + at
-            )
+    entries: list[int | Fraction] = []
+    for field in re.finditer(r"\S+", body):
+        column = offset + field.start()
+        m = _SIGNED_LITERAL.fullmatch(field[0])
+        if m is None:
+            raise ParseError(f"bad rational {field[0]!r} in affine factor", line_no, column)
+        value = _literal(m, line_no, column)
+        entries.append(-value if m["sign"] == "-" else value)
     if len(entries) != 12:
         raise ParseError(
             f"affine factor needs 12 rationals (matrix rows then shift), got {len(entries)}",
@@ -311,7 +306,7 @@ def parse_automorphism(text: str) -> Automorphism:
     factors: list[Affine | Elementary] | None = None
     exprs: list[tuple[str, int, int]] = []
     for line_no, raw in enumerate(lines, start=1):
-        content = _strip_comment(raw)
+        content = raw.partition("#")[0]
         stripped = content.strip()
         if not stripped:
             continue
@@ -332,16 +327,15 @@ def parse_automorphism(text: str) -> Automorphism:
                 body = stripped[len("elem") :]
                 factors.append(_parse_elem_line(body, line_no, offset + len("elem")))
                 continue
+        cursor = 1
         for chunk in content.split(";"):
             sub = chunk.strip()
             if sub:
-                exprs.append((sub, line_no, content.index(sub) + 1))
+                exprs.append((sub, line_no, cursor + chunk.index(sub)))
+            cursor += len(chunk) + 1
     if len(exprs) != 3:
-        where = len(lines)
         raise ParseError(
-            f"expected exactly three component expressions, got {len(exprs)}",
-            max(where, 1),
-            1,
+            f"expected exactly three component expressions, got {len(exprs)}", max(len(lines), 1), 1
         )
     components = tuple(
         parse_poly(src, COMPONENT_VARIABLES, line_no, col) for src, line_no, col in exprs

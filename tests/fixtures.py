@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+from hypothesis import strategies as st
+
 from tame3 import poly
 from tame3.poly import Poly
 from tame3.vertices import TameWord, automorphism, elementary, eval_word, vertex3
@@ -82,3 +84,16 @@ def cubic_vertices():
 
 def quintic_vertices():
     return vertex3(QUINTIC.components), vertex3(QUINTIC_TARGET.components)
+
+
+# --- source text for the parser's property tests ---------------------------
+
+# The grammar's own pieces, plus a digit that int() refuses (²) and one it
+# reads (٣), so that drawn texts reach the parser's edges often.
+_SOURCE_PIECES = (
+    "x1", "x2", "x3", "y", *"0123456789²٣+-*^()/;#", "\n", " ", "word:", "affine", "elem"
+)
+SOURCE_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(_SOURCE_PIECES), max_size=40).map("".join),
+)

@@ -14,6 +14,8 @@ from deleted library code: orbit equality by a determinant, completion by
 the first component outside a line, and the simple-move search by greedy
 top-term stripping.  They read affine coordinates through
 ``linalg.affine_coordinates``, which is checked against ``rank`` itself.
+The character-by-character tokenizer is kept from deleted library code too,
+as the reference for the scanner.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from itertools import combinations
 
 from tame3 import linalg, poly
 from tame3.analysis import BiPoly, PolyInY
-from tame3.errors import DegenerateTuple
+from tame3.errors import DegenerateTuple, ParseError
+from tame3.parsing import Token
 from tame3.poly import Poly
 from tame3.vertices import Affine
 
@@ -349,3 +352,64 @@ def greedy_simple_strip(
         scratch = poly.add(scratch, {(1, 0, 0) if other is hi else (0, 1, 0): a})
     data = {(e[0], e[1]): c for e, c in scratch.items() if e != (0, 0, 0)}
     return data, target
+
+
+def tokenize_reference(text: str, line: int = 1, column: int = 1) -> list[Token]:
+    """The tokenizer as a loop over characters, classified by ``str``
+    predicates.  It raises ValueError on digits that ``str.isdigit`` accepts
+    and ``int()`` refuses (``²``, or past ``int()``'s digit limit), and it
+    leaves the end-of-input column at a trailing comment's ``#``."""
+    out: list[Token] = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if c.isspace():
+            i += 1
+            column += 1
+            continue
+        if c == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        start_col = column
+        if c.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            num = int(text[i:j])
+            column += j - i
+            i = j
+            if i < len(text) and text[i] == "/" and i + 1 < len(text) and text[i + 1].isdigit():
+                j = i + 1
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+                den = int(text[i + 1 : j])
+                if den == 0:
+                    raise ParseError("zero denominator in rational literal", line, start_col)
+                column += j - i
+                i = j
+                out.append(Token("rational", Fraction(num, den), line, start_col))
+            else:
+                out.append(Token("int", num, line, start_col))
+            continue
+        if c.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(Token("ident", text[i:j], line, start_col))
+            column += j - i
+            i = j
+            continue
+        if c in "+-*^()":
+            out.append(Token(c, c, line, start_col))
+            i += 1
+            column += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, start_col)
+    out.append(Token("end", None, line, column))
+    return out

@@ -1,19 +1,23 @@
 """The command-line surface: outputs, exit codes, JSON schema, budgets."""
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from tame3 import analysis, cli
 from tame3.parsing import parse_automorphism
 
-from fixtures import NAGATA_SOURCE, P
+from fixtures import NAGATA_SOURCE, SOURCE_TEXT, P
 
 ID_SOURCE = "x1; x2; x3\n"
 SWAP_SOURCE = "word:\naffine 0 1 0 1 0 0 0 0 1 0 0 0\nx2; x1; x3\n"
@@ -277,6 +281,61 @@ def test_input_errors_exit_1(write, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("x1 + ²; x2; x3", "1:6", "unexpected character '²'"),
+        ("x1 + 1/²; x2; x3", "1:7", "unexpected character '/'"),
+        ("x1 + " + "1" * 5000 + "; x2; x3", "1:6", "number literal longer than"),
+        ("x1 + 1/" + "7" * 5000 + "; x2; x3", "1:6", "number literal longer than"),
+        ("(" * 300 + "x1" + ")" * 300 + "; x2; x3", "1:201", "over 200 nested"),
+        ("(" * 10_000 + "x1" + ")" * 10_000 + "; x2; x3", "1:201", "over 200 nested"),
+        ("x1; x2; x3" + "^2" * 10_000, "1:20004", "degree cap"),
+        ("x1 + x2^2; x3; x2^", "1:19", "expected 'int', found end of input"),
+        ("word:\naffine 1 0 0 0 1 0 0 0 1 1e999999999 0 0\nx1\nx2\nx3", "2:26", "bad rational"),
+    ],
+    ids=[
+        "superscript", "superscript-denominator", "long-int", "long-denominator",
+        "nest-300", "nest-10000", "tower-10000", "repeated-chunk", "affine-exponent",
+    ],
+)
+def test_malformed_text_exits_1_at_its_position(write, capsys, text, where, message):
+    path = write("bad.auto", text)
+    assert cli.main(["deg", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tame3: {path}:{where}: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-" * 10_000 + "x1; x2; x3", "x1" + "^1" * 10_000 + "; x2; x3"],
+    ids=["minus-10000", "tower-10000"],
+)
+def test_long_minus_runs_and_towers_load(write, capsys, text):
+    assert cli.main(["deg", write("long.auto", text)]) == 0
+    assert "total: (1,1,1)" in capsys.readouterr().out
+
+
+@settings(max_examples=300, deadline=None)
+@given(SOURCE_TEXT)
+def test_every_text_exits_0_or_1_with_one_message(text):
+    """The exit-code contract on arbitrary file text and --phi text: no
+    traceback, and an input error is one `tame3:` line on stderr.
+    `--phi=TEXT` keeps argparse from reading a leading '-' as an option."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "any.auto")
+        Path(path).write_text(text, encoding="utf-8")
+        for argv in (["deg", path], ["parachute", path, f"--phi={text}"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1), argv
+            if code == 1:
+                assert err.getvalue().startswith("tame3:"), err.getvalue()
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
 @pytest.mark.parametrize("command", ["certify-nontame", "path", "reduce", "deg"])
 def test_non_automorphism_exits_1(write, capsys, command):
     # independent components, but the Jacobian 2·x1 is not a constant
@@ -357,3 +416,69 @@ def test_cli_output_digest(tmp_path, capsys, monkeypatch):
             for part in (" ".join(argv), str(code), out.out, out.err):
                 digest.update(part.encode() + b"\0")
     assert digest.hexdigest() == CLI_OUTPUT_DIGEST
+
+
+# Malformed files whose messages and positions this digest pins.  Their
+# exit code and stderr are hashed in order; the digest was frozen from the
+# character-loop tokenizer, so it guards the regex scanner against drift.
+MALFORMED_FILES = (
+    "x4; x2; x3",
+    "x1 + y; x2; x3",
+    "x1/2; x2; x3",
+    "x1 +; x2; x3",
+    "(x1; x2; x3",
+    "x1^x2; x2; x3",
+    "x1 @ x2; x2; x3",
+    "1/0; x2; x3",
+    "x1 +\n x2 *\nx3",
+    "x1^20000; x2; x3",
+    "x1^2^100; x2; x3",
+    "x1; x2; 2^2^2^2^2",
+    "x1; x2",
+    "x1; x2; x3; x1",
+    "",
+    "# only a comment\n",
+    "x1; x1; x3",
+    "x1^2; x2; x3",
+    "word: elem 1 (x2^2)\nx1\nx2\nx3",
+    "word: elem 1 (x4)\nx1\nx2\nx3",
+    "word: elem 1 (x1)\nx1\nx2\nx3",
+    "word:\nelem 4 (x1)\nx1\nx2\nx3",
+    "word:\nelem x (x2)\nx1\nx2\nx3",
+    "word:\nelem 1 x2\nx1\nx2\nx3",
+    "word:\naffine 1 0 0\nx1\nx2\nx3",
+    "word:\naffine 1 0 0 0 1 0 0 0 zz 0 0 0\nx1\nx2\nx3",
+    "word:\naffine 1 0 0 0 1 0 0 0 1 0 0 0 0\nx1\nx2\nx3",
+    "word:\naffine 0 0 0 0 0 0 0 0 0 0 0 0\nx1\nx2\nx3",
+    "word:\naffine -1 0 0 0 1 0 0 0 1 +1/2 0 0\nx1\nx2\nx3",
+    "word:  affine 1 0 0 0 1 0 0 0 1 0 0 0 x\nx1\nx2\nx3",
+    "x1\nx2\nx3 + x9",
+    "x1 + ½; x2; x3",
+    "x1 + 1/½; x2; x3",
+    "x1 + ٣/0; x2; x3",
+    "_x; x2; x3",
+    "x1 x2; x2; x3",
+    "x1 ** 2; x2; x3",
+    "x1^-1; x2; x3",
+    "x1^1/2; x2; x3",
+    ")x1; x2; x3",
+    "x1 + 1/2/3; x2; x3",
+    "x1\t+\tx2 x3; x2; x3",
+    "x1\n\n# gap\nx2\nx3 +  # trailing\n",
+    "x1; x2;\r\nx3 +",
+)
+PARSE_ERROR_DIGEST = "55f6aad96bf4dc461b1246c4138d8f56f17eed2d6c9772b217bbeab0c349bae5"
+
+
+def test_parse_error_digest(tmp_path, capsys, monkeypatch):
+    """Exit code and stderr of `deg` on malformed files stay byte-identical."""
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for i, text in enumerate(MALFORMED_FILES):
+        name = f"bad{i}.auto"
+        Path(name).write_text(text, encoding="utf-8")
+        code = cli.main(["deg", name])
+        err = capsys.readouterr().err
+        assert code == 1, (text, err)
+        digest.update(f"{code}\0{err}\0".encode())
+    assert digest.hexdigest() == PARSE_ERROR_DIGEST

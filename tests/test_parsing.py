@@ -4,18 +4,24 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tame3 import poly
 from tame3.errors import DependentInputs, ParseError, UnknownVariable, WitnessMismatch
 from tame3.parsing import (
+    MAX_NESTING,
     PHI_VARIABLES,
+    Token,
+    _tokenize,
     format_automorphism,
     format_poly,
     parse_automorphism,
     parse_poly,
 )
 
-from fixtures import NAGATA_SOURCE, P
+from fixtures import NAGATA_SOURCE, SOURCE_TEXT, P
+from oracles import tokenize_reference
 
 
 # -- expressions --------------------------------------------------------------
@@ -75,6 +81,84 @@ def test_parse_poly_errors_carry_positions():
 def test_parse_poly_degree_caps():
     expect_err(lambda: parse_poly("x1^20000"), ParseError, 1, 4, "cap")
     expect_err(lambda: parse_poly("x1^2^100"), ParseError)
+
+
+# -- the scanner --------------------------------------------------------------
+
+
+def _scan(tokenize, text, line, column):
+    try:
+        return tokenize(text, line, column)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def _trailing_comment(text: str) -> int:
+    last = text.rsplit("\n", 1)[-1]
+    return len(last) - last.index("#") if "#" in last else 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(SOURCE_TEXT, st.integers(1, 9), st.integers(1, 9))
+def test_scanner_matches_the_reference_tokenizer(text, line, column):
+    """Same tokens, or the same ParseError message and position, on every
+    text the character loop reads without another exception."""
+    got = _scan(_tokenize, text, line, column)
+    try:
+        want = _scan(tokenize_reference, text, line, column)
+    except ValueError:  # a digit int() refuses: the scanner reports it instead
+        assert isinstance(got, tuple), got
+        return
+    if isinstance(want, list):  # the reference's end stops at a trailing '#'
+        end = want[-1]
+        want[-1] = Token("end", None, end.line, end.column + _trailing_comment(text))
+    assert got == want
+
+
+def test_end_of_input_sits_past_a_trailing_comment():
+    assert _tokenize("x1 # note")[-1] == Token("end", None, 1, 10)
+    assert _tokenize("x1\n  # note", 4, 7)[-1] == Token("end", None, 5, 9)
+    expect_err(lambda: parse_poly("x1 + # note"), ParseError, 1, 12, "end of input")
+
+
+def test_literal_rule():
+    assert parse_poly("x1 + ٣") == P((1, 1, 0, 0), (3, 0, 0, 0))  # int() reads ٣
+    assert parse_poly("٣/٤") == P((F(3, 4), 0, 0, 0))
+    expect_err(lambda: parse_poly("x1 + ²"), ParseError, 1, 6, "unexpected character '²'")
+    expect_err(lambda: parse_poly("x1²"), UnknownVariable, 1, 1, "x1²")  # an identifier
+    # the slash is reported, as for 1/½ and x1/2: ² starts no denominator
+    expect_err(lambda: parse_poly("1/²"), ParseError, 1, 2, "unexpected character '/'")
+    expect_err(lambda: parse_poly("x1 + 12²"), ParseError, 1, 8, "'²'")
+    expect_err(lambda: parse_poly("x1 + " + "9" * 5000), ParseError, 1, 6, "literal longer")
+    expect_err(lambda: parse_poly("x1 + 1/" + "9" * 5000), ParseError, 1, 6, "literal longer")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10_000])
+def test_minus_runs_and_exponent_towers_of_any_length(n):
+    x1, x2 = P((1, 1, 0, 0)), P((1, 0, 1, 0))
+    assert parse_poly("-" * n + "x1") == (poly.neg(x1) if n % 2 else x1)
+    assert parse_poly("x2 -" + "-" * n + "x1") == poly.sub(x2, parse_poly("-" * n + "x1"))
+    assert parse_poly("x1" + "^1" * n) == x1
+    assert parse_poly("x1^2" + "^1" * n) == parse_poly("x1^2")
+
+
+@pytest.mark.parametrize("n", [4, 5, 10_000])
+def test_exponent_tower_caps_at_the_same_token(n):
+    # x1^2^2^...^2: from the top, 2, 4, 16, then 2^16 passes the cap at the
+    # fourth base from the end, column 2n - 4 (column 4 for n = 4)
+    expect_err(lambda: parse_poly("x1" + "^2" * n), ParseError, 1, 2 * n - 4, "cap")
+    expect_err(lambda: parse_poly("x1" + "^1" * n + "^100"), ParseError, 1, 2 * n + 2, "cap")
+
+
+def test_nesting_past_the_cap_is_a_positioned_error():
+    deep = MAX_NESTING
+    assert parse_poly("(" * deep + "x1" + ")" * deep) == P((1, 1, 0, 0))
+    assert parse_poly("-(" * deep + "x1" + ")" * deep) == P(((-1) ** deep, 1, 0, 0))
+    for n in (deep + 1, 300, 10_000):
+        expect_err(
+            lambda: parse_poly("(" * n + "x1" + ")" * n), ParseError, 1, deep + 1, "nested"
+        )
+        expect_err(lambda: parse_poly("x2 * " + "(" * n), ParseError, 1, deep + 6, "nested")
 
 
 def test_format_poly():
@@ -187,6 +271,27 @@ def test_parse_automorphism_word_line_errors():
 
 def test_parse_automorphism_positions_cross_lines():
     expect_err(lambda: parse_automorphism("x1\nx2\nx3 + x9"), UnknownVariable, 3, 6)
+
+
+def test_component_column_counts_from_its_own_chunk():
+    # the third chunk's text also occurs at the start of the line
+    expect_err(lambda: parse_automorphism("x1 + x2^2; x3; x2^"), ParseError, 1, 19, "'int'")
+    expect_err(lambda: parse_automorphism("x1; x2;x1 + x9"), UnknownVariable, 1, 13)
+    expect_err(lambda: parse_automorphism("x2 ;x1; x1 ^"), ParseError, 1, 13)
+
+
+def test_affine_entries_are_signed_literals():
+    f = parse_automorphism("word:\naffine -1 0 0 0 1 0 0 0 ٣ +1/2 0 -0\n-x1 + 1/2\nx2\n3*x3\n")
+    (factor,) = f.witness.factors
+    assert factor.matrix == ((-1, 0, 0), (0, 1, 0), (0, 0, 3))
+    assert factor.shift == (F(1, 2), 0, 0)
+    for entry in ("1.5", "1e999999999", ".5", "1_0", "1/-2", "+-1"):
+        src = f"word:\naffine 1 0 0 0 1 0 0 0 1 {entry} 0 0\nx1\nx2\nx3"
+        expect_err(lambda: parse_automorphism(src), ParseError, 2, 26, f"bad rational {entry!r}")
+    src = "word:\naffine 1 0 0 0 1 0 0 0 1 1/0 0 0\nx1\nx2\nx3"
+    expect_err(lambda: parse_automorphism(src), ParseError, 2, 26, "zero denominator")
+    src = "word:\naffine 1 0 0 0 1 0 0 0 1 -" + "7" * 5000 + " 0 0\nx1\nx2\nx3"
+    expect_err(lambda: parse_automorphism(src), ParseError, 2, 26, "literal longer")
 
 
 def test_format_automorphism_round_trips():
