@@ -368,10 +368,29 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _joined_phi(argv: list[str]) -> list[str]:
+    """argv with each ``--phi VALUE`` before any ``--`` as ``--phi=VALUE``.
+
+    argparse reads a separate VALUE that begins with '-' (``-y``) as an
+    option; joined, φ may begin with a minus sign.
+    """
+    out: list[str] = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            return out + [arg, *rest]
+        if arg == "--phi":
+            value = next(rest, None)
+            if value is not None:
+                arg = f"--phi={value}"
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_phi(sys.argv[1:] if argv is None else argv))
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

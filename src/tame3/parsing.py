@@ -29,6 +29,12 @@ A rational literal binds tighter than '*': ``1/2*x1`` is (1/2)·x1.  General
 division is not in the grammar — ``x1/2`` is a syntax error at the slash.
 Parentheses nest at most MAX_NESTING deep; the '(' past that is an error.
 
+A product of one-term operands is built directly, as one exponent sum and
+one coefficient product, and so is a one-term base raised to n ≥ 1; every
+other product or power, and any whose total degree passes MAX_TOTAL_DEGREE,
+goes through ``poly.mul``/``poly.p_pow``, which raise the DegreeOverflow.
+Sums accumulate into one dict.
+
 An automorphism file is UTF-8 text with ``#`` comments: an optional ``word:``
 prologue listing tame factors (``affine`` with twelve rationals, row-major
 matrix then shift, or ``elem i (EXPR)``), leftmost outermost, followed by
@@ -145,15 +151,20 @@ class _Parser:
         return p
 
     def sum(self) -> Poly:
-        # sum and negation: each leading '-' flips the sign of its term
+        # sum and negation: each leading '-' flips the sign of its term; the
+        # terms accumulate in one dict, which no operand shares
         p: Poly = {}
         sign = "+"
         while True:
             while self.peek().kind == "-":
                 self.take()
                 sign = "+" if sign == "-" else "-"
-            q = self.product()
-            p = poly.add(p, q) if sign == "+" else poly.sub(p, q)
+            for e, c in self.product().items():
+                s = p.get(e, 0) + (c if sign == "+" else -c)
+                if s:
+                    p[e] = s
+                else:
+                    del p[e]
             if self.peek().kind not in "+-":
                 return p
             sign = self.take().kind
@@ -162,14 +173,26 @@ class _Parser:
         p = self.power(self.atom())
         while self.peek().kind == "*":
             self.take()
-            p = poly.mul(p, self.power(self.atom()))
+            q = self.power(self.atom())
+            if len(p) == len(q) == 1:
+                (ea, ca), (eb, cb) = *p.items(), *q.items()
+                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
+                if sum(e) <= MAX_TOTAL_DEGREE:
+                    p = {e: ca * cb}
+                    continue
+            p = poly.mul(p, q)  # raises the same DegreeOverflow past the cap
         return p
 
     def power(self, base: Poly) -> Poly:
         if self.peek().kind != "^":
             return base
         self.take()
-        return poly.p_pow(base, self.exponent())
+        n = self.exponent()
+        if len(base) == 1 and n >= 1:
+            ((e, c),) = base.items()
+            if sum(e) * n <= MAX_TOTAL_DEGREE:
+                return {(e[0] * n, e[1] * n, e[2] * n): c**n}
+        return poly.p_pow(base, n)  # raises the same DegreeOverflow past the cap
 
     def exponent(self) -> int:
         # a right-associative tower, capped from the top down at each base

@@ -36,6 +36,7 @@ from tame3.analysis import BiPoly
 from tame3.errors import (
     AffineP,
     DegenerateTuple,
+    DegreeOverflow,
     DependentInputs,
     NotAnAutomorphism,
     NotIncident,
@@ -136,18 +137,48 @@ def automorphism(
     The Jacobian, the coefficient of df1∧df2∧df3, vanishes iff the components
     are algebraically dependent and is a nonzero constant iff deg df1∧df2∧df3
     is deg dx1∧dx2∧dx3 = (1,1,1).
+
+    A declared word whose factors all pass a cheap re-check (an affine matrix
+    with det3 ≠ 0; an elementary index in 1–3 whose P does not involve
+    x_index) has Jacobian the product of its affine determinants, a nonzero
+    constant.  So when such a word evaluates exactly to the components, the
+    Jacobian is proved and no wedge is built.  Otherwise the exact check runs
+    first, and the errors come in this order: DependentInputs,
+    NotAnAutomorphism, then what evaluating the word raises (SingularAffine,
+    DegreeOverflow), then WitnessMismatch.
     """
     components = tuple(dict(c) for c in components)
+    evaluated = None
+    if witness is not None and all(map(_rechecked, witness.factors)):
+        try:
+            evaluated = eval_word(witness).components
+        except DegreeOverflow:  # raised again below, after the exact check
+            pass
+        if evaluated == components:
+            return Automorphism(components, witness)
     top = forms.wedge_degree(*components)
     if top is None:
         raise DependentInputs("components are algebraically dependent")
     if top != (1, 1, 1):
         raise NotAnAutomorphism("the Jacobian df1∧df2∧df3 is not a constant")
     if witness is not None:
-        evaluated = eval_word(witness).components
+        if evaluated is None:
+            evaluated = eval_word(witness).components
         if evaluated != components:
             raise WitnessMismatch("declared word does not evaluate to the components")
     return Automorphism(components, witness)
+
+
+def _rechecked(factor: Affine | Elementary) -> bool:
+    """True when the factor passes the checks of ``affine``/``elementary``
+    that its Jacobian rests on; the bare dataclasses skip them."""
+    if isinstance(factor, Affine):
+        return linalg.det3(factor.matrix) != 0
+    return (
+        isinstance(factor, Elementary)
+        and factor.index in (1, 2, 3)
+        and not any(e[factor.index - 1] for e in factor.p)
+    )
 
 
 def eval_word(w: TameWord) -> Automorphism:

@@ -15,18 +15,21 @@ the first component outside a line, and the simple-move search by greedy
 top-term stripping.  They read affine coordinates through
 ``linalg.affine_coordinates``, which is checked against ``rank`` itself.
 The character-by-character tokenizer is kept from deleted library code too,
-as the reference for the scanner.
+as the reference for the scanner, and so is the parser's generic product
+and power, through ``poly.mul`` and ``poly.p_pow``, as the reference for
+its one-term fast paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
 from tame3 import linalg, poly
 from tame3.analysis import BiPoly, PolyInY
 from tame3.errors import DegenerateTuple, ParseError
-from tame3.parsing import Token
+from tame3.parsing import Token, _Parser, _tokenize
 from tame3.poly import Poly
 from tame3.vertices import Affine
 
@@ -413,3 +416,41 @@ def tokenize_reference(text: str, line: int = 1, column: int = 1) -> list[Token]
         raise ParseError(f"unexpected character {c!r}", line, start_col)
     out.append(Token("end", None, line, column))
     return out
+
+
+class GenericParser(_Parser):
+    """The parser with every product through ``poly.mul``, every power
+    through ``poly.p_pow`` and every sum through ``poly.add``/``poly.sub``."""
+
+    def sum(self) -> Poly:
+        p: Poly = {}
+        sign = "+"
+        while True:
+            while self.peek().kind == "-":
+                self.take()
+                sign = "+" if sign == "-" else "-"
+            q = self.product()
+            p = poly.add(p, q) if sign == "+" else poly.sub(p, q)
+            if self.peek().kind not in "+-":
+                return p
+            sign = self.take().kind
+
+    def product(self) -> Poly:
+        p = self.power(self.atom())
+        while self.peek().kind == "*":
+            self.take()
+            p = poly.mul(p, self.power(self.atom()))
+        return p
+
+    def power(self, base: Poly) -> Poly:
+        if self.peek().kind != "^":
+            return base
+        self.take()
+        return poly.p_pow(base, self.exponent())
+
+
+def parse_poly_generic(
+    text: str, variables: Mapping[str, int], line: int = 1, column: int = 1
+) -> Poly:
+    """``parsing.parse_poly`` through the generic parser."""
+    return GenericParser(_tokenize(text, line, column), variables).parse()

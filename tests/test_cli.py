@@ -78,6 +78,15 @@ def test_parachute_rejects_bad_phi(write, capsys):
     assert "--phi:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phi", ["-y", "-x2*y"])
+def test_parachute_phi_may_begin_with_a_minus(write, capsys, phi):
+    path = write("nagata.auto", NAGATA_SOURCE)
+    assert cli.main(["parachute", path, f"--phi={phi}"]) == 0
+    expected = capsys.readouterr()
+    assert cli.main(["parachute", path, "--phi", phi]) == 0
+    assert capsys.readouterr() == expected
+
+
 def test_compose(write, capsys):
     path = write("swap.auto", SWAP_SOURCE)
     assert cli.main(["compose", path, path]) == 0
@@ -334,6 +343,15 @@ def test_every_text_exits_0_or_1_with_one_message(text):
             if code == 1:
                 assert err.getvalue().startswith("tame3:"), err.getvalue()
                 assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+def test_mismatching_witness_exits_1(write, capsys):
+    # the word x1 ↦ x1 + x2² is checked, but it evaluates to other components
+    path = write("mismatch.auto", "word: elem 1 (x2^2)\nx1 + x2^3\nx2\nx3\n")
+    assert cli.main(["deg", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tame3: {path}: declared word does not evaluate to the components\n"
 
 
 @pytest.mark.parametrize("command", ["certify-nontame", "path", "reduce", "deg"])

@@ -1,15 +1,25 @@
 """Parsing and formatting: expressions, automorphism files, error positions."""
 
+import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tame3 import poly
-from tame3.errors import DependentInputs, ParseError, UnknownVariable, WitnessMismatch
+from tame3 import forms, poly
+from tame3.errors import (
+    DegreeOverflow,
+    DependentInputs,
+    ParseError,
+    Tame3Error,
+    UnknownVariable,
+    WitnessMismatch,
+)
 from tame3.parsing import (
+    COMPONENT_VARIABLES,
     MAX_NESTING,
     PHI_VARIABLES,
     Token,
@@ -19,9 +29,10 @@ from tame3.parsing import (
     parse_automorphism,
     parse_poly,
 )
+from tame3.vertices import Automorphism
 
-from fixtures import NAGATA_SOURCE, SOURCE_TEXT, P
-from oracles import tokenize_reference
+from fixtures import NAGATA_SOURCE, QUINTIC, SOURCE_TEXT, P
+from oracles import parse_poly_generic, tokenize_reference
 
 
 # -- expressions --------------------------------------------------------------
@@ -159,6 +170,93 @@ def test_nesting_past_the_cap_is_a_positioned_error():
             lambda: parse_poly("(" * n + "x1" + ")" * n), ParseError, 1, deep + 1, "nested"
         )
         expect_err(lambda: parse_poly("x2 * " + "(" * n), ParseError, 1, deep + 6, "nested")
+
+
+# -- the one-term fast paths ---------------------------------------------------
+
+_LEAVES = ("x1", "x2", "x3", "0", "1", "7", "0/5", "3/4", "12/8")
+
+
+@st.composite
+def _expression(draw, depth=3):
+    """Expression text and a bound on the terms of any product or power in
+    it, which keeps the generic parser's expansions small."""
+    kind = draw(st.sampled_from(("leaf", "sum", "product", "group", "negation")))
+    if depth == 0 or kind == "leaf":
+        tower = draw(st.lists(st.sampled_from("01234"), max_size=3))
+        return draw(st.sampled_from(_LEAVES)) + "".join("^" + e for e in tower), 1
+    if kind == "negation":
+        text, terms = draw(_expression(depth - 1))
+        return "-" + text, terms
+    (a, ta), (b, tb) = draw(_expression(depth - 1)), draw(_expression(depth - 1))
+    terms = ta * tb + ta + tb  # bounds both a·b and a ± b
+    if kind == "sum":
+        return a + draw(st.sampled_from(("+", " - ", "-"))) + b, terms
+    if kind == "product":
+        return a + draw(st.sampled_from(("*", " * "))) + b, terms
+    # a group raised to k (^k, ^k^1) or to 1 (^1^k): at most C(t + k - 1, k)
+    # terms, the monomials of degree k in t others
+    op = draw(st.sampled_from(("+", "-", "*")))
+    k = draw(st.sampled_from([k for k in range(5) if math.comb(terms + k - 1, k) <= 40]))
+    tower = draw(st.sampled_from((f"^{k}", f"^{k}^1", f"^1^{k}")))
+    return f"({a}{op}{b}){tower}", max(terms, math.comb(terms + k - 1, k))
+
+
+def _outcome(parse, text, variables):
+    try:
+        return parse(text, variables)
+    except Tame3Error as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(_expression().map(lambda t: t[0]), SOURCE_TEXT),
+    st.sampled_from((COMPONENT_VARIABLES, PHI_VARIABLES)),
+)
+def test_fast_parser_matches_the_generic_parser(text, variables):
+    """The same Poly, or the same exception type and message (a ParseError's
+    message carries its position), as with every product through poly.mul
+    and every power through poly.p_pow."""
+    assert _outcome(parse_poly, text, variables) == _outcome(parse_poly_generic, text, variables)
+
+
+@pytest.mark.parametrize(
+    "text, degree", [("(x1^2)^5001", 10_002), ("x1^6000*x1^5000", 11_000)]
+)
+def test_one_term_products_past_the_cap_overflow_as_before(text, degree):
+    message = f"product degree {degree} exceeds cap 10000"
+    for parse in (parse_poly, parse_poly_generic):
+        exc = expect_err(lambda: parse(text, COMPONENT_VARIABLES), DegreeOverflow)
+        assert str(exc) == message
+
+
+def _calls_from(monkeypatch, module, name, caller):
+    """Count calls to module.name made directly from the module ``caller``."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == caller:
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_loading_an_expanded_witnessed_file_multiplies_nothing(monkeypatch):
+    # one-term products and powers are built directly, and a re-checked word
+    # that evaluates to the components proves the Jacobian
+    witnessed = format_automorphism(QUINTIC)
+    bare = format_automorphism(Automorphism(QUINTIC.components))
+    products = _calls_from(monkeypatch, poly, "mul", "tame3.parsing")
+    powers = _calls_from(monkeypatch, poly, "p_pow", "tame3.parsing")
+    wedges = _calls_from(monkeypatch, forms, "wedge_degree", "tame3.vertices")
+    assert parse_automorphism(witnessed) == QUINTIC
+    assert products == powers == wedges == []
+    assert parse_automorphism(bare).components == QUINTIC.components
+    assert products == powers == [] and len(wedges) == 1
 
 
 def test_format_poly():

@@ -10,6 +10,7 @@ from tame3 import linalg, poly, vertices
 from tame3.errors import (
     AffineP,
     DegenerateTuple,
+    DegreeOverflow,
     DependentInputs,
     NotAnAutomorphism,
     NotIncident,
@@ -173,6 +174,44 @@ def test_automorphism_validation():
     # independent components, Jacobian 2·x1: not an automorphism
     with pytest.raises(NotAnAutomorphism):
         vertices.automorphism((P((1, 2, 0, 0)), X2, X3))
+
+
+def test_an_unchecked_witness_is_rejected_in_the_exact_order():
+    # a declared word stands in for the Jacobian only after every factor is
+    # re-checked; otherwise the exact check runs first, as for a bare triple
+    square = P((1, 2, 0, 0))
+    word = vertices.TameWord
+    # a bare Elementary skips vertices.elementary(): x1 ↦ x1 + x1² matches
+    # its own evaluation, but its Jacobian is 1 + 2·x1
+    own = word((vertices.Elementary(1, square),))
+    with pytest.raises(NotAnAutomorphism):
+        vertices.automorphism(vertices.eval_word(own).components, own)
+    bad_index = word((vertices.Elementary(4, X2),))
+    with pytest.raises(NotAnAutomorphism):
+        vertices.automorphism((square, X2, X3), bad_index)
+    with pytest.raises(DependentInputs):
+        vertices.automorphism((X1, X1, X3), bad_index)
+    # a bare singular Affine evaluates to (x1, x1, x3): the exact check wins
+    m = tuple(tuple(F(a) for a in row) for row in ((1, 0, 0), (1, 0, 0), (0, 0, 1)))
+    singular = word((vertices.Affine(m, (F(0), F(0), F(0))),))
+    with pytest.raises(DependentInputs):
+        vertices.automorphism((X1, X1, X3), singular)
+    with pytest.raises(SingularAffine):
+        vertices.automorphism((X1, X2, X3), singular)
+    checked = word((vertices.elementary(1, P((1, 0, 2, 0))),))
+    with pytest.raises(DependentInputs):
+        vertices.automorphism((X1, poly.scale(2, X1), X3), checked)
+    with pytest.raises(NotAnAutomorphism):
+        vertices.automorphism((square, X2, X3), checked)
+    # a checked word whose evaluation passes the degree cap: its
+    # DegreeOverflow comes after the exact check, as an evaluation error
+    huge = word(
+        (vertices.elementary(1, P((1, 0, 100, 0))), vertices.elementary(2, P((1, 200, 0, 0))))
+    )
+    with pytest.raises(DependentInputs):
+        vertices.automorphism((X1, X1, X3), huge)
+    with pytest.raises(DegreeOverflow):
+        vertices.automorphism((X1, X2, X3), huge)
 
 
 # -- canonical representatives ------------------------------------------------
